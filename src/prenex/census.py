@@ -3,10 +3,10 @@
 A class is determined by its quantifier string plus the set of variables in
 each run (order inside a run is immaterial), so classes are enumerated
 directly as run-length compositions with variables distributed between runs;
-no raw sweep is needed for the vertex set.  Edges do need the raw sweep:
-different members of one class reach different classes, so flips and
-exists-forall swaps are applied to every raw prefix and mapped back to class
-indices.
+no raw sweep is needed for the vertex set.  Edges do need every raw prefix:
+different members of one class reach different classes.  The raw prefixes
+are the packed class members from the oracle, and the oracle's packed moves
+map each of them to its successors' classes.
 
 Counts grow like ordered set partitions (two per composition pattern), so
 everything here is capped to desk-scale n.
@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations
 from math import factorial
 
 from .decide import raw_implies
 from .errors import InstanceTooLargeError
+from .oracle import _members, _moves
 from .prefix import CanonicalClass, Prefix, Quantifier, default_names
 
 __all__ = [
@@ -134,53 +135,17 @@ def enumerate_classes(
 
 
 def build_graph(n: int, cap: int = CLASS_CAP) -> ImplicationGraph:
-    """Materialize the class graph by sweeping moves over every raw prefix."""
+    """Materialize the class graph by applying every move to every raw prefix."""
     classes = enumerate_classes(n, cap)
     vertices = tuple(cls for cls, _ in classes)
     multiplicity = tuple(mult for _, mult in classes)
-
-    run_cache: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-
-    def run_slices(bits: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-        cached = run_cache.get(bits)
-        if cached is not None:
-            return cached
-        slices = []
-        start = 0
-        for i in range(1, n):
-            if bits[i] != bits[start]:
-                slices.append((start, i))
-                start = i
-        slices.append((start, n))
-        run_cache[bits] = out = tuple(slices)
-        return out
-
-    def canon_key(sigma: tuple[int, ...], bits: tuple[int, ...]):
-        parts: list[int] = []
-        for lo, hi in run_slices(bits):
-            parts.extend(sorted(sigma[lo:hi]))
-        return tuple(parts), bits
-
-    index = {
-        canon_key(cls.rep.sigma, tuple(int(q) for q in cls.rep.b)): i
-        for i, (cls, _) in enumerate(classes)
-    }
-
+    index = {state: i for i, cls in enumerate(vertices) for state in _members(cls.rep)}
     edges = set()
-    for bits in product((0, 1), repeat=n):
-        flip_targets = [bits[:i] + (0,) + bits[i + 1 :] for i in range(n) if bits[i]]
-        swap_targets = [
-            (i, bits[:i] + (1, 0) + bits[i + 2 :])
-            for i in range(n - 1)
-            if bits[i] == 0 and bits[i + 1] == 1
-        ]
-        for sigma in permutations(range(n)):
-            src = index[canon_key(sigma, bits)]
-            for target_bits in flip_targets:
-                edges.add((src, index[canon_key(sigma, target_bits)]))
-            for i, target_bits in swap_targets:
-                swapped = sigma[:i] + (sigma[i + 1], sigma[i]) + sigma[i + 2 :]
-                edges.add((src, index[canon_key(swapped, target_bits)]))
+    for state, u in index.items():
+        for nxt in _moves(state, n):
+            v = index[nxt]
+            if v != u:  # same-run swaps stay inside the class
+                edges.add((u, v))
     return ImplicationGraph(n, vertices, frozenset(edges), multiplicity)
 
 

@@ -59,12 +59,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    stream = sys.stdin if args.path == "-" else open(args.path, encoding="utf-8")
+    # Bytes in, so that a line of invalid UTF-8 fails as its own record.
+    stream = sys.stdin.buffer if args.path == "-" else open(args.path, "rb")
     all_ok = True
     try:
         for line in stream:
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 lhs, rhs = record["lhs"], record["rhs"]
                 if not isinstance(lhs, str) or not isinstance(rhs, str):
                     raise TypeError("lhs and rhs must be strings")
@@ -72,11 +73,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 verdict = implies(s1, s2)
                 print(json.dumps(_verdict_doc(verdict)))
                 all_ok = all_ok and verdict.accepted
-            except (json.JSONDecodeError, KeyError, TypeError, PrefixError) as exc:
+            # ValueError covers bad JSON and bad UTF-8; RecursionError deep nesting.
+            except (ValueError, RecursionError, KeyError, TypeError, PrefixError) as exc:
                 print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
                 all_ok = False
     finally:
-        if stream is not sys.stdin:
+        if args.path != "-":
             stream.close()
     return 0 if all_ok else 1
 
@@ -120,7 +122,14 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_graph(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        return _usage_error("--n must be >= 1")
     data = export_graph(build_graph(args.n, cap=args.max_n), args.format)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -132,6 +141,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        return _usage_error("--n must be >= 1")
     report = count_pairs(args.n, cap=args.max_n)
     if args.json:
         doc = {
@@ -200,9 +211,10 @@ def run_bench(sizes: list[int], seed: int, reps: int) -> list[dict]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = args.sizes
-    if any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
-        print("error: --sizes must be strictly increasing and >= 1", file=sys.stderr)
-        return 2
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
+        return _usage_error("--sizes must be strictly increasing and >= 1")
+    if args.reps < 1:
+        return _usage_error("--reps must be >= 1")
     rows = run_bench(sizes, args.seed, args.reps)
     if args.json:
         print(json.dumps({"seed": args.seed, "reps": args.reps, "rows": rows}))

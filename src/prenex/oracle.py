@@ -2,15 +2,18 @@
 
 The three sound moves generate successors of a raw prefix; implication holds
 iff some member of the target's equivalence class is reachable.  The search
-runs over raw prefixes (not class representatives) with a visited set, which
-is trivially complete: class-level successor generation would have to union
-moves over every run-permutation of a representative and is easy to get
-wrong.  State counts stay manageable under the size cap (n!*2^n is about
-10.3M at n=8).
+runs over raw prefixes with a visited set and never canonicalizes a state.
+It is complete because same-run swaps are moves too: the visited set is
+closed under class membership, so a class is reached exactly when all of its
+members are visited.  ``oracle_implies`` therefore stops at the first member
+of the target's class it meets, and ``closure`` keeps one visited state per
+class, the one sorted inside each run.  State counts stay manageable under
+the size cap (n!*2^n is about 10.3M at n=8).
 
 Internally states are packed into single ints (one nibble per sigma slot,
 quantifier bits above), which keeps the visited set compact; that encoding
-tops out at 16 variables.
+tops out at 16 variables.  The census builds its class graph from the same
+packed moves and class members.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import permutations, product
 
 from .errors import InstanceTooLargeError
 from .prefix import (
     CanonicalClass,
     Prefix,
     Quantifier,
-    canonicalize,
     ensure_same_universe,
+    runs,
 )
 
 __all__ = [
@@ -120,81 +124,75 @@ def _unpack(state: int, n: int) -> tuple[tuple[int, ...], tuple[Quantifier, ...]
     return sigma, b
 
 
-def _explore(
-    sigma: tuple[int, ...], bits: int, n: int, target: int | None = None
-) -> tuple[bool, set[int]]:
-    """BFS over packed raw states; collect the canonical key of every class seen.
+def _moves(state: int, n: int) -> list[int]:
+    """Packed successors of a packed state: every flip and adjacent swap.
 
-    With ``target`` (a packed canonical state) the search stops as soon as the
-    target's class is reached and the returned key set is partial.
+    Same-run swaps are included, so a search over these moves visits every
+    member of each class it reaches.
     """
     shift = 4 * n
-    runs_by_bits: dict[int, tuple[tuple[int, int], ...]] = {}
+    word = state >> shift
+    succ = []
+    rest = word
+    i = 0
+    while rest:  # flip each universal position to existential
+        if rest & 1:
+            succ.append(state ^ (1 << (shift + i)))
+        rest >>= 1
+        i += 1
+    for i in range(n - 1):
+        pair = (word >> i) & 3
+        if pair == 1:  # universal then existential: no move applies
+            continue
+        z = ((state >> (4 * i)) ^ (state >> (4 * i + 4))) & 15
+        swapped = state ^ ((z << (4 * i)) | (z << (4 * i + 4)))
+        if pair == 2:  # existential-universal pair swaps quantifiers too
+            swapped ^= 3 << (shift + i)
+        succ.append(swapped)
+    return succ
 
-    def run_slices(word: int) -> tuple[tuple[int, int], ...]:
-        cached = runs_by_bits.get(word)
-        if cached is not None:
-            return cached
-        slices = []
-        start = 0
-        prev = word & 1
-        for i in range(1, n):
-            cur = (word >> i) & 1
-            if cur != prev:
-                slices.append((start, i))
-                start = i
-                prev = cur
-        slices.append((start, n))
-        runs_by_bits[word] = out = tuple(slices)
-        return out
 
-    def canon(state: int) -> int:
-        word = state >> shift
-        vals = [(state >> (4 * i)) & 15 for i in range(n)]
-        key = word << shift
-        pos = 0
-        for lo, hi in run_slices(word):
-            for v in sorted(vals[lo:hi]):
-                key |= v << (4 * pos)
-                pos += 1
-        return key
+def _members(p: Prefix) -> list[int]:
+    """Packed raw states of ``p``'s class: every order inside each run."""
+    blocks = [
+        [
+            sum(v << (4 * (r.start + k)) for k, v in enumerate(order))
+            for order in permutations(p.sigma[r.start : r.start + r.length])
+        ]
+        for r in runs(p)
+    ]
+    base = _bits_of(p.b) << (4 * p.n)
+    return [base + sum(parts) for parts in product(*blocks)]
 
+
+def _explore(
+    sigma: tuple[int, ...],
+    bits: int,
+    n: int,
+    targets: set[int] | frozenset[int] = frozenset(),
+) -> tuple[bool, set[int]]:
+    """BFS over packed raw states; return ``(found, visited)``.
+
+    ``found`` is whether some visited state lies in ``targets``; the search
+    stops at the first one, leaving ``visited`` partial.  Without an early
+    stop ``visited`` is every raw state reachable from the root, and it is
+    closed under class membership because same-run swaps are moves: a class
+    is reachable exactly when all of its members (its canonical one among
+    them) are in ``visited``.
+    """
     root = _pack(sigma, bits, n)
     visited = {root}
-    classes = {canon(root)}
-    if target is not None and target in classes:
-        return True, classes
+    if root in targets:
+        return True, visited
     queue = deque((root,))
     while queue:
-        state = queue.popleft()
-        word = state >> shift
-        succ = []
-        rest = word
-        i = 0
-        while rest:  # flip each universal position to existential
-            if rest & 1:
-                succ.append(state ^ (1 << (shift + i)))
-            rest >>= 1
-            i += 1
-        for i in range(n - 1):
-            pair = (word >> i) & 3
-            if pair == 1:  # universal then existential: no move applies
-                continue
-            z = ((state >> (4 * i)) ^ (state >> (4 * i + 4))) & 15
-            swapped = state ^ ((z << (4 * i)) | (z << (4 * i + 4)))
-            if pair == 2:  # existential-universal pair swaps quantifiers too
-                swapped ^= 3 << (shift + i)
-            succ.append(swapped)
-        for nxt in succ:
+        for nxt in _moves(queue.popleft(), n):
             if nxt not in visited:
                 visited.add(nxt)
-                key = canon(nxt)
-                if key not in classes:
-                    classes.add(key)
-                    if target is not None and key == target:
-                        return True, classes
+                if nxt in targets:
+                    return True, visited
                 queue.append(nxt)
-    return False, classes
+    return False, visited
 
 
 def _check_cap(n: int, max_n: int) -> None:
@@ -215,8 +213,7 @@ def oracle_implies(s1: Prefix, s2: Prefix, max_n: int = ORACLE_CAP) -> bool:
     ensure_same_universe(s1, s2)
     n = s1.n
     _check_cap(n, max_n)
-    target = _pack(canonicalize(s2).rep.sigma, _bits_of(s2.b), n)
-    found, _ = _explore(s1.sigma, _bits_of(s1.b), n, target=target)
+    found, _ = _explore(s1.sigma, _bits_of(s1.b), n, targets=set(_members(s2)))
     return found
 
 
@@ -228,10 +225,14 @@ def closure(p: Prefix, max_n: int = ORACLE_CAP) -> list[CanonicalClass]:
     """
     n = p.n
     _check_cap(n, max_n)
-    _, keys = _explore(p.sigma, _bits_of(p.b), n)
+    _, visited = _explore(p.sigma, _bits_of(p.b), n)
     out = []
-    for key in keys:
-        sigma, b = _unpack(key, n)
-        out.append(CanonicalClass(Prefix(sigma, b, p.names)))
+    for state in visited:
+        # Flips and exists-forall swaps lower the packed value, and a same-run
+        # swap lowers it exactly when the pair was ascending, so the states
+        # sorted inside each run are the ones that no move raises.
+        if all(nxt < state for nxt in _moves(state, n)):
+            sigma, b = _unpack(state, n)
+            out.append(CanonicalClass(Prefix(sigma, b, p.names)))
     out.sort(key=lambda c: c.text)
     return out

@@ -107,14 +107,17 @@ def sampled_sweep():
         s1s = [random_prefix(n, rng, names) for _ in range(n_s1)]
         s2s = [random_prefix(n, rng, names) for _ in range(n_s2)]
         s2_keys = [class_key(p, n) for p in s2s]
+        s2_key_set = set(s2_keys)
         checked = mismatches = rejects = bad_witnesses = 0
         closures = {}
         for s1 in s1s:
             key1 = class_key(s1, n)
             reach = closures.get(key1)
             if reach is None:
-                _, reach = _explore(s1.sigma, _bits_of(s1.b), n)
-                closures[key1] = reach
+                _, visited = _explore(s1.sigma, _bits_of(s1.b), n)
+                # cache only the s2 keys reached: a visited set at n = 8 can
+                # hold millions of raw states
+                reach = closures[key1] = s2_key_set & visited
             for s2, key2 in zip(s2s, s2_keys):
                 verdict = implies(s1, s2)
                 checked += 1

@@ -6,8 +6,10 @@ import pytest
 
 from prenex import (
     InstanceTooLargeError,
+    Prefix,
     build_graph,
     canonicalize,
+    closure,
     count_pairs,
     count_pairs_via_graph,
     enumerate_classes,
@@ -17,6 +19,7 @@ from prenex import (
     reachability_bitsets,
     topological_order,
 )
+from prenex.oracle import _members, _unpack
 from support import all_raw_prefixes, fubini
 
 
@@ -53,6 +56,12 @@ def test_every_raw_prefix_lands_in_exactly_one_class():
         for p in all_raw_prefixes(n):
             hits[canonicalize(p).rep] += 1
         assert hits == index  # observed sizes equal declared multiplicities
+        # the packed members the census maps to each vertex are that class
+        for rep, mult in index.items():
+            members = {_unpack(state, n) for state in _members(rep)}
+            assert len(members) == mult
+            for sigma, b in members:
+                assert canonicalize(Prefix(sigma, b, rep.names)).rep == rep
 
 
 def test_multiplicities_sum_to_full_space():
@@ -120,9 +129,13 @@ def test_graph_reachability_matches_decider():
         g = build_graph(n)
         reach = reachability_bitsets(g)
         for u, src in enumerate(g.vertices):
+            reached = set()
             for v, dst in enumerate(g.vertices):
                 expected = bool(reach[u] >> v & 1)
                 assert implies(src.rep, dst.rep).accepted == expected
+                if expected:
+                    reached.add(dst.text)
+            assert {c.text for c in closure(src.rep)} == reached
 
 
 def test_graph_edges_match_oracle_single_moves():

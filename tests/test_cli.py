@@ -115,6 +115,30 @@ def test_batch_rejects_non_string_fields(tmp_path, capsys):
     assert all("error" in doc for doc in docs)
 
 
+def test_batch_survives_invalid_utf8(tmp_path, capsys):
+    path = tmp_path / "bytes.jsonl"
+    ok = json.dumps({"lhs": "A x1", "rhs": "E x1"}).encode()
+    path.write_bytes(ok + b"\n\xff\xfe\n" + ok + b"\n")
+    code, out, err = run(capsys, "batch", str(path))
+    assert code == 1 and err == ""
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert len(docs) == 3
+    assert docs[1]["error"].startswith("UnicodeDecodeError")
+    assert docs[0]["verdict"] == docs[2]["verdict"] == "accept"
+
+
+def test_batch_survives_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.jsonl"
+    ok = json.dumps({"lhs": "A x1", "rhs": "E x1"})
+    path.write_text(ok + "\n" + "[" * 100_000 + "\n" + ok + "\n")
+    code, out, err = run(capsys, "batch", str(path))
+    assert code == 1 and err == ""
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert len(docs) == 3
+    assert docs[1]["error"].startswith("RecursionError")
+    assert docs[0]["verdict"] == docs[2]["verdict"] == "accept"
+
+
 def test_batch_missing_file_exits_2(capsys):
     code, out, err = run(capsys, "batch", "/nonexistent/nope.jsonl")
     assert code == 2 and out == "" and err != ""
@@ -202,6 +226,21 @@ def test_graph_json_to_file(tmp_path, capsys):
 def test_graph_cap_exit_3(capsys):
     code, _, err = run(capsys, "graph", "--n", "9", "--format", "json")
     assert code == 3 and err != ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--n", "0"),
+        ("census", "--n", "0"),
+        ("bench", "--sizes", "8", "--reps", "0"),
+        ("bench", "--sizes", ","),
+    ],
+)
+def test_arguments_below_one_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --")
 
 
 def test_census_human(capsys):

@@ -6,6 +6,7 @@ from prenex import (
     InstanceTooLargeError,
     Move,
     MoveKind,
+    Prefix,
     Quantifier,
     applicable_moves,
     apply_move,
@@ -19,6 +20,7 @@ from prenex import (
     random_prefix,
     successors,
 )
+from prenex.oracle import _bits_of, _moves, _pack, _unpack
 from support import all_raw_prefixes
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
@@ -78,6 +80,18 @@ def test_every_successor_is_accepted_by_decider():
                 assert implies(p, q).accepted, (str(p), str(q))
 
 
+def test_packed_moves_match_successors():
+    # the packed generator shared by the oracle and the census against the
+    # readable apply_move reference
+    for n in (1, 2, 3, 4):
+        for p in all_raw_prefixes(n):
+            packed = _moves(_pack(p.sigma, _bits_of(p.b), n), n)
+            unpacked = {Prefix(*_unpack(state, n), p.names) for state in packed}
+            expected = successors(p)
+            assert len(packed) == len(unpacked) == len(expected)
+            assert unpacked == expected, str(p)
+
+
 def test_strict_progress_measure():
     # flips and exists-forall swaps strictly decrease
     # (#foralls, sum of forall positions); same-run swaps leave both alone
@@ -108,6 +122,19 @@ def test_oracle_examples():
     assert oracle_implies(s1, s2)
     s1, s2 = parse_prefix_pair("A x1 A x2 E x3 A x4", "A x1 A x4 E x3 A x2")
     assert not oracle_implies(s1, s2)
+
+
+def test_oracle_agrees_with_decider_on_every_raw_pair():
+    # s2 runs over every raw member of each class, not only the sorted one,
+    # so the search must find whichever member of s2's class it meets first
+    for n in (1, 2, 3):
+        states = list(all_raw_prefixes(n))
+        for s1 in states:
+            for s2 in states:
+                assert oracle_implies(s1, s2) == implies(s1, s2).accepted, (
+                    str(s1),
+                    str(s2),
+                )
 
 
 def test_oracle_cap_enforced():
