@@ -11,6 +11,7 @@ universe.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from array import array
@@ -41,14 +42,10 @@ __all__ = [
     "random_prefix",
 ]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-_QUANT_TOKENS = {
-    "A": 1,
-    "∀": 1,
-    "E": 0,
-    "∃": 0,
-}
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT = re.compile(_NAME + r"\Z")
+# Every name of a text, joined by single spaces (names hold no whitespace).
+_IDENTS = re.compile(rf"{_NAME}(?: {_NAME})*\Z")
 
 
 class Quantifier(IntEnum):
@@ -60,6 +57,14 @@ class Quantifier(IntEnum):
     @property
     def letter(self) -> str:
         return "A" if self else "E"
+
+
+_QUANT_TOKENS = {
+    "A": Quantifier.FORALL,
+    "∀": Quantifier.FORALL,
+    "E": Quantifier.EXISTS,
+    "∃": Quantifier.EXISTS,
+}
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,8 @@ class Prefix:
         sigma = tuple(self.sigma)
         b = tuple(self.b)
         names = tuple(self.names)
-        if not all(type(q) is Quantifier for q in b):
-            b = tuple(Quantifier(q) for q in b)
+        if set(map(type, b)) - {Quantifier}:
+            b = tuple(map(Quantifier, b))
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "names", names)
@@ -88,12 +93,12 @@ class Prefix:
             raise EmptyPrefixError("a prefix must quantify at least one variable")
         if len(b) != n or len(names) != n:
             raise ValueError("sigma, b and names must have equal length")
-        seen = bytearray(n)
-        for v in sigma:
-            if not 0 <= v < n or seen[v]:
-                raise ValueError("sigma must be a permutation of 0..n-1")
-            seen[v] = 1
-        if any(not name for name in names) or len(set(names)) != n:
+        # operator.index rejects non-integers such as 0.5, which the count
+        # and the bounds alone would let through.
+        distinct = len(set(map(operator.index, sigma)))
+        if distinct != n or min(sigma) < 0 or max(sigma) >= n:
+            raise ValueError("sigma must be a permutation of 0..n-1")
+        if not all(names) or len(set(names)) != n:
             raise ValueError("variable names must be nonempty and distinct")
 
     @property
@@ -177,14 +182,18 @@ def format_prefix(p: Prefix) -> str:
     return " ".join(f"{q.letter} {names[v]}" for q, v in zip(p.b, p.sigma))
 
 
-def _scan(text: str) -> list[tuple[str, int]]:
-    """Tokenize one prefix text into ordered (name, quantifier-bit) pairs.
+def _scan(text: str) -> tuple[list[str], tuple[Quantifier, ...], set[str]]:
+    """Tokenize one prefix text into its names in order, their quantifiers,
+    and the set of its names.
 
     Grammar (whitespace-separated tokens)::
 
         prefix := (quant ident)+
         quant  := "A" | "E" | "∀" | "∃"
         ident  := [A-Za-z_][A-Za-z0-9_]*
+
+    Each rule is checked once over the whole token list; only a text that
+    breaks one is walked pair by pair, to report its first fault.
     """
     tokens = text.split()
     if not tokens:
@@ -193,33 +202,42 @@ def _scan(text: str) -> list[tuple[str, int]]:
         raise PrefixSyntaxError(
             f"dangling token {tokens[-1]!r}: expected quantifier-name pairs"
         )
-    pairs = []
+    quants = tokens[::2]
+    order = tokens[1::2]
+    name_set = set(order)
+    if not (
+        _QUANT_TOKENS.keys() >= set(quants)
+        and _IDENTS.match(" ".join(order))
+        and len(name_set) == len(order)
+    ):
+        _raise_first_fault(quants, order)
+    return order, tuple(map(_QUANT_TOKENS.__getitem__, quants)), name_set
+
+
+def _raise_first_fault(quants: list[str], order: list[str]) -> None:
+    """Raise the error that the first faulty (quantifier, name) pair earns."""
     seen = set()
-    for quant_tok, name in zip(tokens[::2], tokens[1::2]):
-        bit = _QUANT_TOKENS.get(quant_tok)
-        if bit is None:
+    for quant_tok, name in zip(quants, order):
+        if quant_tok not in _QUANT_TOKENS:
             raise PrefixSyntaxError(f"expected quantifier token, got {quant_tok!r}")
         if not _IDENT.match(name):
             raise PrefixSyntaxError(f"invalid variable name {name!r}")
         if name in seen:
             raise DuplicateVariableError(f"variable {name!r} quantified twice")
         seen.add(name)
-        pairs.append((name, bit))
-    return pairs
 
 
-def _build(pairs: list[tuple[str, int]], names: tuple[str, ...]) -> Prefix:
-    index = {name: v for v, name in enumerate(names)}
-    sigma = tuple(index[name] for name, _ in pairs)
-    b = tuple(Quantifier(bit) for _, bit in pairs)
-    return Prefix(sigma, b, names)
+def _build(
+    order: list[str], b: tuple[Quantifier, ...], names: tuple[str, ...]
+) -> Prefix:
+    index = dict(zip(names, range(len(names))))
+    return Prefix(tuple(map(index.__getitem__, order)), b, names)
 
 
 def parse_prefix(text: str) -> Prefix:
     """Parse a single prefix; indices follow ascending lexicographic name order."""
-    pairs = _scan(text)
-    names = tuple(sorted(name for name, _ in pairs))
-    return _build(pairs, names)
+    order, b, _ = _scan(text)
+    return _build(order, b, tuple(sorted(order)))
 
 
 def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
@@ -229,18 +247,17 @@ def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
     assigned by ascending lexicographic byte order of the names and shared
     between the two results.
     """
-    lhs_pairs = _scan(lhs_text)
-    rhs_pairs = _scan(rhs_text)
-    lhs_names = {name for name, _ in lhs_pairs}
-    rhs_names = {name for name, _ in rhs_pairs}
+    lhs_order, lhs_b, lhs_names = _scan(lhs_text)
+    rhs_order, rhs_b, rhs_names = _scan(rhs_text)
     if lhs_names != rhs_names:
         only_l = sorted(lhs_names - rhs_names)
         only_r = sorted(rhs_names - lhs_names)
         raise VariableSetMismatchError(
             f"variable sets differ (lhs only: {only_l}, rhs only: {only_r})"
         )
-    names = tuple(sorted(lhs_names))
-    return _build(lhs_pairs, names), _build(rhs_pairs, names)
+    # Sorting the text order, not the set's, is linear on texts already in order.
+    names = tuple(sorted(lhs_order))
+    return _build(lhs_order, lhs_b, names), _build(rhs_order, rhs_b, names)
 
 
 def default_names(n: int) -> tuple[str, ...]:

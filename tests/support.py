@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import permutations, product
 from math import comb
 
+from hypothesis import strategies as st
+
 from prenex import Prefix, Quantifier, default_names
 
 
@@ -34,3 +36,47 @@ def fubini(n: int) -> int:
     for m in range(1, n + 1):
         values.append(sum(comb(m, k) * values[m - k] for k in range(1, m + 1)))
     return values[n]
+
+
+# Prefix-text fuzzing: mostly well-formed tokens, with every kind of fault.
+QUANT_TOKENS = ["A", "E", "∀", "∃"] * 4 + ["B", "a"]
+GOOD_NAMES = ["x1", "x2", "x10", "_y", "Z_9", "q", "b2", "y_"]
+NAME_TOKENS = GOOD_NAMES * 3 + ["1x", "é", "x-1"]
+SEPARATORS = [" ", "  ", "\t", "\n", "\xa0", " \t\n"]
+
+
+def name_lists():
+    """Variable names for one prefix, distinct in about half the draws."""
+    return st.booleans().flatmap(
+        lambda unique: st.lists(st.sampled_from(NAME_TOKENS), max_size=7, unique=unique)
+    )
+
+
+@st.composite
+def prefix_texts(draw, names=None):
+    """Prefix text quantifying ``names`` (drawn if None) in order, joined by
+    mixed whitespace, sometimes with a dangling or misplaced token."""
+    if names is None:
+        names = draw(name_lists())
+    tokens = []
+    for name in names:
+        tokens += [draw(st.sampled_from(QUANT_TOKENS)), name]
+    if draw(st.integers(0, 9)) == 0:
+        tokens.insert(
+            draw(st.integers(0, len(tokens))),
+            draw(st.sampled_from(QUANT_TOKENS + NAME_TOKENS)),
+        )
+    seps = [draw(st.sampled_from(SEPARATORS)) for _ in range(len(tokens) + 1)]
+    text = "".join(sep + tok for sep, tok in zip(seps, tokens))
+    return text + seps[-1] if draw(st.booleans()) else text
+
+
+@st.composite
+def prefix_text_pairs(draw):
+    """(lhs, rhs) texts, the rhs over a permutation of the lhs names with
+    one name sometimes replaced."""
+    names = draw(name_lists())
+    other = draw(st.permutations(names))
+    if other and draw(st.integers(0, 3)) == 0:
+        other[draw(st.integers(0, len(other) - 1))] = draw(st.sampled_from(NAME_TOKENS))
+    return draw(prefix_texts(names)), draw(prefix_texts(other))

@@ -1,16 +1,30 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prenex.cli import main, run_bench
+from support import prefix_text_pairs
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv):
+    """Like ``run``, for property tests, which cannot share a capsys fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 # --- check -----------------------------------------------------------------
@@ -57,6 +71,18 @@ def test_check_case4_human_line(capsys):
     assert code == 1
     assert out.startswith("reject (case 4")
     assert "variable x2" in out
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefix_text_pairs(), st.booleans())
+def test_check_fuzzed_text_exits_cleanly(texts, as_json):
+    lhs, rhs = texts
+    argv = ["check", f"--lhs={lhs}", f"--rhs={rhs}"] + ["--json"] * as_json
+    code, out, err = run_captured(*argv)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and err == "" and out.count("\n") == 1
 
 
 # --- batch -----------------------------------------------------------------
@@ -149,6 +175,47 @@ def test_batch_all_accepts_exit_0(tmp_path, capsys):
     path.write_text(json.dumps({"lhs": "A x1", "rhs": "E x1"}) + "\n")
     code, out, _ = run(capsys, "batch", str(path))
     assert code == 0 and json.loads(out)["verdict"] == "accept"
+
+
+_BAD_LINES = [
+    b"",
+    b"not json",
+    b"{",
+    b"[1, 2]",
+    b"null",
+    b'{"rhs": "A x1"}',
+    b'{"lhs": 5, "rhs": "A x1"}',
+    b"\xff\xfe",
+    b'{"lhs": "A x1", "rhs": "\xc3"}',
+    b"[" * 5_000,
+]
+
+
+@st.composite
+def batch_lines(draw):
+    """One batch line without its newline: a record, or garbage bytes."""
+    kind = draw(st.integers(0, 3))
+    if kind < 2:
+        lhs, rhs = draw(prefix_text_pairs())
+        return json.dumps({"lhs": lhs, "rhs": rhs}).encode()
+    if kind == 2:
+        return draw(st.sampled_from(_BAD_LINES))
+    return draw(st.binary(max_size=12).filter(lambda raw: b"\n" not in raw))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(batch_lines(), max_size=8))
+def test_batch_fuzzed_lines_one_output_line_each(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        code, out, err = run_captured("batch", str(path))
+    assert code in (0, 1) and err == ""
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert len(docs) == len(lines)
+    assert all(("verdict" in doc) != ("error" in doc) for doc in docs)
+    all_accepted = all(doc.get("verdict") == "accept" for doc in docs)
+    assert code == (0 if all_accepted else 1)
 
 
 # --- oracle-check, canon, equiv, closure -------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from prenex import (
     DuplicateVariableError,
     EmptyPrefixError,
+    Prefix,
     PrefixSyntaxError,
     Quantifier,
     Run,
@@ -19,7 +21,7 @@ from prenex import (
     random_prefix,
     runs,
 )
-from support import make_prefix
+from support import make_prefix, prefix_text_pairs, prefix_texts
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
 
@@ -93,8 +95,107 @@ def test_prefix_constructor_validates():
         make_prefix([0, 0], [1, 1])  # not a permutation
     with pytest.raises(ValueError):
         make_prefix([0, 2], [1, 1])  # out of range
+    with pytest.raises(ValueError):
+        make_prefix([-1, 1], [1, 1])  # negative index
+    with pytest.raises(TypeError):
+        make_prefix([0.5, 1], [1, 1])  # not an integer
+    with pytest.raises(ValueError):
+        make_prefix([0, 1], [1, 1], names=("x1", ""))  # empty name
+    with pytest.raises(ValueError):
+        make_prefix([0, 1], [1, 1], names=("x1", "x1"))  # duplicate names
+    with pytest.raises(ValueError):
+        make_prefix([0, 1], [1, 1, 0])  # length mismatch
+    with pytest.raises(ValueError):
+        Prefix((0, 1), (1, 2), ("x1", "x2"))  # not a quantifier bit
     with pytest.raises(EmptyPrefixError):
         make_prefix([], [])
+
+
+def test_prefix_boxes_int_bits_to_quantifier_singletons():
+    p = Prefix((1, 0), (0, 1), ("x1", "x2"))
+    assert p.b[0] is Quantifier.EXISTS and p.b[1] is Quantifier.FORALL
+    assert p == Prefix((1, 0), (Quantifier.EXISTS, Quantifier.FORALL), ("x1", "x2"))
+
+
+# --- parse parity with the per-pair reference parser ------------------------
+
+_REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_REF_QUANT_BITS = {"A": 1, "∀": 1, "E": 0, "∃": 0}
+
+
+def _ref_scan(text):
+    """The original parser: one Python step per (quantifier, name) pair."""
+    tokens = text.split()
+    if not tokens:
+        raise EmptyPrefixError("empty prefix")
+    if len(tokens) % 2:
+        raise PrefixSyntaxError(
+            f"dangling token {tokens[-1]!r}: expected quantifier-name pairs"
+        )
+    pairs = []
+    seen = set()
+    for quant_tok, name in zip(tokens[::2], tokens[1::2]):
+        bit = _REF_QUANT_BITS.get(quant_tok)
+        if bit is None:
+            raise PrefixSyntaxError(f"expected quantifier token, got {quant_tok!r}")
+        if not _REF_IDENT.match(name):
+            raise PrefixSyntaxError(f"invalid variable name {name!r}")
+        if name in seen:
+            raise DuplicateVariableError(f"variable {name!r} quantified twice")
+        seen.add(name)
+        pairs.append((name, bit))
+    return pairs
+
+
+def _ref_build(pairs, names):
+    index = {name: v for v, name in enumerate(names)}
+    sigma = tuple(index[name] for name, _ in pairs)
+    return sigma, tuple(Quantifier(bit) for _, bit in pairs), names, {Quantifier}
+
+
+def _ref_parse(text):
+    pairs = _ref_scan(text)
+    return _ref_build(pairs, tuple(sorted(name for name, _ in pairs)))
+
+
+def _ref_parse_pair(lhs_text, rhs_text):
+    lhs_pairs = _ref_scan(lhs_text)
+    rhs_pairs = _ref_scan(rhs_text)
+    lhs_names = {name for name, _ in lhs_pairs}
+    rhs_names = {name for name, _ in rhs_pairs}
+    if lhs_names != rhs_names:
+        only_l = sorted(lhs_names - rhs_names)
+        only_r = sorted(rhs_names - lhs_names)
+        raise VariableSetMismatchError(
+            f"variable sets differ (lhs only: {only_l}, rhs only: {only_r})"
+        )
+    names = tuple(sorted(lhs_names))
+    return _ref_build(lhs_pairs, names), _ref_build(rhs_pairs, names)
+
+
+def _fields(p):
+    """Fields of a parsed prefix, with the set of its quantifiers' types."""
+    return p.sigma, p.b, p.names, set(map(type, p.b))
+
+
+def _outcome(parse, *texts):
+    """What a parser makes of ``texts``: its result, or its error's type and text."""
+    try:
+        return parse(*texts)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(prefix_texts())
+def test_parse_matches_reference_parser(text):
+    got = _outcome(lambda t: _fields(parse_prefix(t)), text)
+    assert got == _outcome(_ref_parse, text)
+
+
+@given(prefix_text_pairs())
+def test_parse_pair_matches_reference_parser(texts):
+    got = _outcome(lambda l, r: tuple(map(_fields, parse_prefix_pair(l, r))), *texts)
+    assert got == _outcome(_ref_parse_pair, *texts)
 
 
 # --- runs ------------------------------------------------------------------
