@@ -20,8 +20,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .prefix import Prefix, Quantifier, ensure_same_universe
 
 __all__ = [
@@ -78,6 +76,10 @@ def _position_table(sigma: Sequence[int]):
         for j, v in enumerate(sigma):
             pos[v] = j
         return pos
+    # Imported here, not at the top: numpy dominates `import prenex`, and
+    # nothing but this branch uses it.
+    import numpy as np
+
     values = np.frombuffer(array("q", sigma), dtype=np.int64)
     inverse = np.empty(n, dtype=np.int32)
     inverse[values] = np.arange(n, dtype=np.int32)

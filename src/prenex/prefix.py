@@ -73,6 +73,10 @@ class Prefix:
 
     ``sigma`` must be a permutation of ``0..n-1`` with n >= 1; ``names`` must be
     distinct and nonempty.  Instances are hashable and safe to share.
+
+    Direct construction checks every one of these invariants.  The parsers
+    build their results without repeating the checks, because parsing has
+    already established each of them.
     """
 
     sigma: tuple[int, ...]
@@ -182,7 +186,9 @@ def format_prefix(p: Prefix) -> str:
     return " ".join(f"{q.letter} {names[v]}" for q, v in zip(p.b, p.sigma))
 
 
-def _scan(text: str) -> tuple[list[str], tuple[Quantifier, ...], set[str]]:
+def _scan(
+    text: str, known: set[str] | None = None
+) -> tuple[list[str], tuple[Quantifier, ...], set[str]]:
     """Tokenize one prefix text into its names in order, their quantifiers,
     and the set of its names.
 
@@ -193,7 +199,9 @@ def _scan(text: str) -> tuple[list[str], tuple[Quantifier, ...], set[str]]:
         ident  := [A-Za-z_][A-Za-z0-9_]*
 
     Each rule is checked once over the whole token list; only a text that
-    breaks one is walked pair by pair, to report its first fault.
+    breaks one is walked pair by pair, to report its first fault.  A name set
+    equal to ``known`` (names already checked) needs no identifier regex, and
+    ``known`` itself is returned for it, so the caller can compare by identity.
     """
     tokens = text.split()
     if not tokens:
@@ -205,9 +213,11 @@ def _scan(text: str) -> tuple[list[str], tuple[Quantifier, ...], set[str]]:
     quants = tokens[::2]
     order = tokens[1::2]
     name_set = set(order)
+    if name_set == known:
+        name_set = known
     if not (
         _QUANT_TOKENS.keys() >= set(quants)
-        and _IDENTS.match(" ".join(order))
+        and (name_set is known or _IDENTS.match(" ".join(order)))
         and len(name_set) == len(order)
     ):
         _raise_first_fault(quants, order)
@@ -227,17 +237,33 @@ def _raise_first_fault(quants: list[str], order: list[str]) -> None:
         seen.add(name)
 
 
-def _build(
-    order: list[str], b: tuple[Quantifier, ...], names: tuple[str, ...]
+def _trusted(
+    sigma: tuple[int, ...], b: tuple[Quantifier, ...], names: tuple[str, ...]
 ) -> Prefix:
-    index = dict(zip(names, range(len(names))))
-    return Prefix(tuple(map(index.__getitem__, order)), b, names)
+    """A Prefix built without ``__post_init__``, for fields that ``_scan`` and
+    ``_build`` have proved valid: n >= 1, distinct valid names, ``b`` of
+    Quantifier members, and ``sigma`` a permutation of ``0..n-1``."""
+    p = object.__new__(Prefix)
+    # Field-order setattr keeps the key-sharing instance dict; __dict__.update does not.
+    object.__setattr__(p, "sigma", sigma)
+    object.__setattr__(p, "b", b)
+    object.__setattr__(p, "names", names)
+    return p
+
+
+def _build(
+    names: tuple[str, ...], *sides: tuple[list[str], tuple[Quantifier, ...]]
+) -> tuple[Prefix, ...]:
+    """One prefix per (text order, quantifiers) side, all indexed by ``names``,
+    the sorted name tuple that every side's order is a permutation of."""
+    index = dict(zip(names, range(len(names)))).__getitem__
+    return tuple(_trusted(tuple(map(index, order)), b, names) for order, b in sides)
 
 
 def parse_prefix(text: str) -> Prefix:
     """Parse a single prefix; indices follow ascending lexicographic name order."""
     order, b, _ = _scan(text)
-    return _build(order, b, tuple(sorted(order)))
+    return _build(tuple(sorted(order)), (order, b))[0]
 
 
 def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
@@ -248,8 +274,8 @@ def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
     between the two results.
     """
     lhs_order, lhs_b, lhs_names = _scan(lhs_text)
-    rhs_order, rhs_b, rhs_names = _scan(rhs_text)
-    if lhs_names != rhs_names:
+    rhs_order, rhs_b, rhs_names = _scan(rhs_text, lhs_names)
+    if rhs_names is not lhs_names:
         only_l = sorted(lhs_names - rhs_names)
         only_r = sorted(rhs_names - lhs_names)
         raise VariableSetMismatchError(
@@ -257,7 +283,7 @@ def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
         )
     # Sorting the text order, not the set's, is linear on texts already in order.
     names = tuple(sorted(lhs_order))
-    return _build(lhs_order, lhs_b, names), _build(rhs_order, rhs_b, names)
+    return _build(names, (lhs_order, lhs_b), (rhs_order, rhs_b))
 
 
 def default_names(n: int) -> tuple[str, ...]:

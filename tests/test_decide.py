@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import prenex
 
 from prenex import (
     LengthMismatchError,
@@ -177,3 +183,22 @@ def test_decider_not_fooled_by_uncanonical_input():
     assert implies(s1, s2).accepted
     s1, s2 = parse_prefix_pair("E x2 E x1", "E x1 E x2")
     assert implies(s1, s2).accepted
+
+
+def test_numpy_loads_only_for_large_decisions():
+    code = (
+        "import sys\n"
+        "from prenex import default_names, implies, oracle_implies, parse_prefix_pair\n"
+        "pair = parse_prefix_pair('E x1 A x2', 'A x2 E x1')\n"
+        "assert oracle_implies(*pair) and implies(*pair).accepted\n"
+        "print('numpy' in sys.modules)\n"
+        "text = ' '.join('A ' + name for name in default_names(256))\n"
+        "assert implies(*parse_prefix_pair(text, text)).accepted\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(prenex.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

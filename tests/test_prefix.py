@@ -8,6 +8,7 @@ from prenex import (
     DuplicateVariableError,
     EmptyPrefixError,
     Prefix,
+    PrefixError,
     PrefixSyntaxError,
     Quantifier,
     Run,
@@ -197,6 +198,54 @@ def test_parse_pair_matches_reference_parser(texts):
     got = _outcome(lambda l, r: tuple(map(_fields, parse_prefix_pair(l, r))), *texts)
     assert got == _outcome(_ref_parse_pair, *texts)
 
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, error",
+    [
+        ("A x1 E y", "A x1 E 1x", PrefixSyntaxError),  # invalid name, sets differ
+        ("A x1 E y", "A x1 E x-1", PrefixSyntaxError),
+        ("A x1 E y", "A x1 B z", PrefixSyntaxError),  # bad quantifier, sets differ
+        ("A x1 E y", "A y B x1", PrefixSyntaxError),  # bad quantifier, same set
+        ("A x1 E y", "A x1 E x1", DuplicateVariableError),  # duplicate, sets differ
+        ("A x1 E y", "A z E z A y", DuplicateVariableError),
+        ("A x1 E y", "A y E x1 A y", DuplicateVariableError),  # duplicate, same set
+    ],
+)
+def test_rhs_fault_outranks_set_mismatch(lhs, rhs, error):
+    got = _outcome(parse_prefix_pair, lhs, rhs)
+    assert got[0] is error
+    assert got == _outcome(_ref_parse_pair, lhs, rhs)
+
+
+# --- parser-built prefixes satisfy the constructor's invariants -------------
+
+
+def _assert_fully_valid(p):
+    """``p`` survives the public constructor's checks unchanged, and its
+    quantifiers are the enum members themselves, not equal ints."""
+    assert p == Prefix(p.sigma, p.b, p.names)
+    assert all(q is A or q is E for q in p.b)
+
+
+@given(prefix_texts())
+def test_parsed_prefix_passes_full_validation(text):
+    try:
+        p = parse_prefix(text)
+    except PrefixError:
+        return
+    _assert_fully_valid(p)
+
+
+@given(prefix_text_pairs())
+def test_parsed_pair_passes_full_validation(texts):
+    try:
+        s1, s2 = parse_prefix_pair(*texts)
+    except PrefixError:
+        return
+    _assert_fully_valid(s1)
+    _assert_fully_valid(s2)
+    assert s1.names is s2.names
 
 # --- runs ------------------------------------------------------------------
 
