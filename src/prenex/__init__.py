@@ -1,119 +1,21 @@
 """Implication between quantifier prefixes over one arbitrary matrix.
 
 Linear-time decision with reject witnesses, a brute-force BFS oracle, and a
-census of the equivalence-class implication graph at small n.
+census of the equivalence-class implication graph at small n.  The public
+names are each module's ``__all__``, republished here.
 """
 
-from .census import (
-    CLASS_CAP,
-    PAIR_CAP,
-    CensusReport,
-    ImplicationGraph,
-    build_graph,
-    count_pairs,
-    count_pairs_via_graph,
-    enumerate_classes,
-    export_graph,
-    reachability_bitsets,
-    topological_order,
-)
-from .decide import (
-    DecideStats,
-    RejectWitness,
-    Verdict,
-    decide_with_stats,
-    implies,
-    raw_implies,
-    validate_witness,
-)
-from .errors import (
-    DuplicateVariableError,
-    EmptyPrefixError,
-    InstanceTooLargeError,
-    LengthMismatchError,
-    PrefixError,
-    PrefixSyntaxError,
-    VariableSetMismatchError,
-)
-from .oracle import (
-    ORACLE_CAP,
-    Move,
-    MoveKind,
-    applicable_moves,
-    apply_move,
-    closure,
-    oracle_implies,
-    successors,
-)
-from .prefix import (
-    CanonicalClass,
-    Prefix,
-    Quantifier,
-    Run,
-    canonicalize,
-    default_names,
-    ensure_same_universe,
-    equivalent,
-    format_prefix,
-    parse_prefix,
-    parse_prefix_pair,
-    random_prefix,
-    runs,
-)
+from .prefix import *
+from .decide import *
+from .oracle import *
+from .census import *
+from .errors import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # prefix core
-    "Quantifier",
-    "Prefix",
-    "Run",
-    "CanonicalClass",
-    "parse_prefix",
-    "parse_prefix_pair",
-    "format_prefix",
-    "runs",
-    "canonicalize",
-    "equivalent",
-    "ensure_same_universe",
-    "default_names",
-    "random_prefix",
-    # decider
-    "Verdict",
-    "RejectWitness",
-    "DecideStats",
-    "implies",
-    "decide_with_stats",
-    "raw_implies",
-    "validate_witness",
-    # oracle
-    "ORACLE_CAP",
-    "MoveKind",
-    "Move",
-    "applicable_moves",
-    "apply_move",
-    "successors",
-    "oracle_implies",
-    "closure",
-    # census
-    "CLASS_CAP",
-    "PAIR_CAP",
-    "ImplicationGraph",
-    "CensusReport",
-    "enumerate_classes",
-    "build_graph",
-    "count_pairs",
-    "count_pairs_via_graph",
-    "topological_order",
-    "reachability_bitsets",
-    "export_graph",
-    # errors
-    "PrefixError",
-    "PrefixSyntaxError",
-    "DuplicateVariableError",
-    "EmptyPrefixError",
-    "VariableSetMismatchError",
-    "LengthMismatchError",
-    "InstanceTooLargeError",
-]
+__all__ = ["__version__"]
+__all__ += prefix.__all__
+__all__ += decide.__all__
+__all__ += oracle.__all__
+__all__ += census.__all__
+__all__ += errors.__all__

@@ -2,13 +2,13 @@
 
 A class is determined by its quantifier string plus the set of variables in
 each run (order inside a run is immaterial), so classes are enumerated
-directly as run-length compositions with variables distributed between runs;
+directly: each quantifier word, with variables distributed between its runs;
 no raw sweep is needed for the vertex set.  Edges do need every raw prefix:
 different members of one class reach different classes.  The raw prefixes
 are the packed class members from the oracle, and the oracle's packed moves
 map each of them to its successors' classes.
 
-Counts grow like ordered set partitions (two per composition pattern), so
+Counts grow like ordered set partitions (two per run-length pattern), so
 everything here is capped to desk-scale n.
 """
 
@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import combinations, groupby, product
+from math import factorial, prod
 
 from .decide import raw_implies
 from .errors import InstanceTooLargeError
@@ -78,21 +78,6 @@ def _check_cap(n: int, cap: int) -> None:
         raise InstanceTooLargeError(f"n={n} outside the supported range 1..{cap}")
 
 
-def _compositions(n: int):
-    """Ordered positive-part compositions of n (2^(n-1) of them)."""
-    for mask in range(1 << (n - 1)):
-        parts = []
-        length = 1
-        for i in range(n - 1):
-            if (mask >> i) & 1:
-                parts.append(length)
-                length = 1
-            else:
-                length += 1
-        parts.append(length)
-        yield tuple(parts)
-
-
 def _distributions(pool: tuple[int, ...], parts: tuple[int, ...]):
     """All ways to deal ``pool`` into runs of the given sizes, each ascending."""
     if not parts:
@@ -117,19 +102,11 @@ def enumerate_classes(
     names = default_names(n)
     pool = tuple(range(n))
     out = []
-    for parts in _compositions(n):
-        mult = 1
-        for length in parts:
-            mult *= factorial(length)
-        for first in (Quantifier.FORALL, Quantifier.EXISTS):
-            b = []
-            quant = first
-            for length in parts:
-                b.extend([quant] * length)
-                quant = Quantifier(1 - quant)
-            b_tuple = tuple(b)
-            for sigma in _distributions(pool, parts):
-                out.append((CanonicalClass(Prefix(sigma, b_tuple, names)), mult))
+    for b in product(Quantifier, repeat=n):
+        parts = tuple(len(tuple(run)) for _, run in groupby(b))
+        mult = prod(map(factorial, parts))
+        for sigma in _distributions(pool, parts):
+            out.append((CanonicalClass(Prefix(sigma, b, names)), mult))
     out.sort(key=lambda item: item[0].text)
     return out
 
@@ -205,7 +182,7 @@ def count_pairs(n: int, cap: int = PAIR_CAP) -> CensusReport:
     ordered class pair and raw pairs are recovered by multiplicity weights.
     """
     _check_cap(n, cap)
-    g = build_graph(n)
+    g = build_graph(n, cap=cap)
     reps = [(cls.rep.sigma, bytes(cls.rep.b)) for cls in g.vertices]
     mult = g.multiplicity
     true_pairs = 0
@@ -219,7 +196,7 @@ def count_pairs(n: int, cap: int = PAIR_CAP) -> CensusReport:
 def count_pairs_via_graph(n: int, cap: int = PAIR_CAP) -> CensusReport:
     """Independent pair count: graph reachability with multiplicity weights."""
     _check_cap(n, cap)
-    g = build_graph(n)
+    g = build_graph(n, cap=cap)
     mult = g.multiplicity
     true_pairs = 0
     for u, bits in enumerate(reachability_bitsets(g)):

@@ -41,21 +41,28 @@ def _verdict_doc(verdict: Verdict) -> dict:
     }
 
 
+def _emit(args: argparse.Namespace, doc: dict, lines: list[str], code: int = 0) -> int:
+    """Print ``doc`` as one JSON line under --json, else the text lines."""
+    if args.json:
+        print(json.dumps(doc))
+    else:
+        for line in lines:
+            print(line)
+    return code
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     s1, s2 = parse_prefix_pair(args.lhs, args.rhs)
     verdict = implies(s1, s2)
-    if args.json:
-        print(json.dumps(_verdict_doc(verdict)))
-    elif verdict.accepted:
-        print("accept")
-    else:
-        w = verdict.witness
+    w = verdict.witness
+    line = "accept"
+    if w is not None:
         name = s2.names[w.variable]
         detail = f"case {w.case_id} at position {w.s2_position}: variable {name}"
         if w.blocking_f is not None:
             detail += f", blocked by existential at {w.blocking_f} in lhs"
-        print(f"reject ({detail})")
-    return 0 if verdict.accepted else 1
+        line = f"reject ({detail})"
+    return _emit(args, _verdict_doc(verdict), [line], 0 if verdict.accepted else 1)
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -86,40 +93,25 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     s1, s2 = parse_prefix_pair(args.lhs, args.rhs)
     answer = oracle_implies(s1, s2, max_n=args.max_n)
-    if args.json:
-        print(json.dumps({"implies": answer}))
-    else:
-        print("true" if answer else "false")
-    return 0 if answer else 1
+    lines = ["true" if answer else "false"]
+    return _emit(args, {"implies": answer}, lines, 0 if answer else 1)
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
     text = canonicalize(parse_prefix(args.prefix)).text
-    if args.json:
-        print(json.dumps({"canonical": text}))
-    else:
-        print(text)
-    return 0
+    return _emit(args, {"canonical": text}, [text])
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
     s1, s2 = parse_prefix_pair(args.lhs, args.rhs)
     answer = equivalent(s1, s2)
-    if args.json:
-        print(json.dumps({"equivalent": answer}))
-    else:
-        print("equivalent" if answer else "not equivalent")
-    return 0 if answer else 1
+    lines = ["equivalent" if answer else "not equivalent"]
+    return _emit(args, {"equivalent": answer}, lines, 0 if answer else 1)
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    classes = closure(parse_prefix(args.prefix), max_n=args.max_n)
-    if args.json:
-        print(json.dumps({"count": len(classes), "classes": [c.text for c in classes]}))
-    else:
-        for cls in classes:
-            print(cls.text)
-    return 0
+    texts = [cls.text for cls in closure(parse_prefix(args.prefix), max_n=args.max_n)]
+    return _emit(args, {"count": len(texts), "classes": texts}, texts)
 
 
 def _usage_error(message: str) -> int:
@@ -144,23 +136,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if args.n < 1:
         return _usage_error("--n must be >= 1")
     report = count_pairs(args.n, cap=args.max_n)
-    if args.json:
-        doc = {
-            "n": report.n,
-            "class_count": report.class_count,
-            "edge_count": report.edge_count,
-            "true_pairs": report.true_pairs,
-            "total_pairs": report.total_pairs,
-            "probability": str(report.probability),
-        }
-        print(json.dumps(doc))
-    else:
-        print(f"class_count {report.class_count}")
-        print(f"edge_count {report.edge_count}")
-        print(f"true_pairs {report.true_pairs}")
-        print(f"total_pairs {report.total_pairs}")
-        print(f"probability {report.probability}")
-    return 0
+    doc = asdict(report) | {"probability": str(report.probability)}
+    lines = [f"{key} {value}" for key, value in doc.items() if key != "n"]
+    return _emit(args, doc, lines)
 
 
 def run_bench(sizes: list[int], seed: int, reps: int) -> list[dict]:
@@ -216,17 +194,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         return _usage_error("--reps must be >= 1")
     rows = run_bench(sizes, args.seed, args.reps)
-    if args.json:
-        print(json.dumps({"seed": args.seed, "reps": args.reps, "rows": rows}))
-    else:
-        print(f"{'n':>9}  {'median_s':>10}  {'ops/elt':>8}  {'rescan':>9}  checksum")
-        for row in rows:
-            print(
-                f"{row['n']:>9}  {row['timing']['median_s']:>10.6f}  "
-                f"{row['ops_per_element']:>8.3f}  {row['rescan_steps']:>9}  "
-                f"{row['checksum']}"
-            )
-    return 0
+    lines = [f"{'n':>9}  {'median_s':>10}  {'ops/elt':>8}  {'rescan':>9}  checksum"]
+    lines += [
+        f"{row['n']:>9}  {row['timing']['median_s']:>10.6f}  "
+        f"{row['ops_per_element']:>8.3f}  {row['rescan_steps']:>9}  {row['checksum']}"
+        for row in rows
+    ]
+    return _emit(args, {"seed": args.seed, "reps": args.reps, "rows": rows}, lines)
 
 
 def _sizes_arg(text: str) -> list[int]:

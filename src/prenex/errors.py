@@ -1,5 +1,15 @@
 """Exception taxonomy shared across the package."""
 
+__all__ = [
+    "PrefixError",
+    "PrefixSyntaxError",
+    "DuplicateVariableError",
+    "EmptyPrefixError",
+    "VariableSetMismatchError",
+    "LengthMismatchError",
+    "InstanceTooLargeError",
+]
+
 
 class PrefixError(Exception):
     """Base class for all errors raised by this package."""

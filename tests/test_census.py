@@ -179,6 +179,23 @@ def test_count_pairs_cap():
         count_pairs(6)
 
 
+@pytest.mark.parametrize("count", [count_pairs, count_pairs_via_graph])
+def test_count_pairs_forwards_cap_to_build_graph(monkeypatch, count):
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def stub(n, cap=None):
+        seen.append(cap)
+        raise Stop
+
+    monkeypatch.setattr("prenex.census.build_graph", stub)
+    with pytest.raises(Stop):
+        count(8, cap=8)
+    assert seen == [8]
+
+
 # --- export ----------------------------------------------------------------------
 
 

@@ -383,6 +383,110 @@ def test_run_bench_seed_changes_inputs():
     assert rows_a[0]["checksum"] != rows_b[0]["checksum"]
 
 
+# --- exact output bytes and --max-n ----------------------------------------------
+
+_L4, _R4 = "A x1 A x2 E x3 A x4", "A x1 A x4 E x3 A x2"
+_EXACT = [
+    (("check", "--lhs", "A x1", "--rhs", "E x1"), 0, "accept\n"),
+    (
+        ("check", "--lhs", "A x1", "--rhs", "E x1", "--json"),
+        0,
+        '{"verdict": "accept", "witness": null}\n',
+    ),
+    (
+        ("check", "--lhs", "E x1", "--rhs", "A x1"),
+        1,
+        "reject (case 5 at position 0: variable x1)\n",
+    ),
+    (
+        ("check", "--lhs", "E x1", "--rhs", "A x1", "--json"),
+        1,
+        '{"verdict": "reject", "witness": {"case_id": 5, "s2_position": 0, '
+        '"variable": 0, "blocking_f": null}}\n',
+    ),
+    (
+        ("check", "--lhs", _L4, "--rhs", _R4),
+        1,
+        "reject (case 4 at position 3: variable x2, "
+        "blocked by existential at 2 in lhs)\n",
+    ),
+    (
+        ("check", "--lhs", _L4, "--rhs", _R4, "--json"),
+        1,
+        '{"verdict": "reject", "witness": {"case_id": 4, "s2_position": 3, '
+        '"variable": 1, "blocking_f": 2}}\n',
+    ),
+    (("oracle-check", "--lhs", "E x1 A x2", "--rhs", "A x2 E x1"), 0, "true\n"),
+    (
+        ("oracle-check", "--lhs", "E x1", "--rhs", "A x1", "--json"),
+        1,
+        '{"implies": false}\n',
+    ),
+    (("canon", "A x2 A x1 E x3"), 0, "A x1 A x2 E x3\n"),
+    (("canon", "A x2 A x1 E x3", "--json"), 0, '{"canonical": "A x1 A x2 E x3"}\n'),
+    (("equiv", "--lhs", "A x1 A x2", "--rhs", "A x2 A x1"), 0, "equivalent\n"),
+    (
+        ("equiv", "--lhs", "A x1 A x2", "--rhs", "A x2 A x1", "--json"),
+        0,
+        '{"equivalent": true}\n',
+    ),
+    (("equiv", "--lhs", "A x1", "--rhs", "E x1"), 1, "not equivalent\n"),
+    (
+        ("equiv", "--lhs", "A x1", "--rhs", "E x1", "--json"),
+        1,
+        '{"equivalent": false}\n',
+    ),
+    (("closure", "E x1 A x2"), 0, "A x2 E x1\nE x1 A x2\nE x1 E x2\n"),
+    (
+        ("closure", "E x1 A x2", "--json"),
+        0,
+        '{"count": 3, "classes": ["A x2 E x1", "E x1 A x2", "E x1 E x2"]}\n',
+    ),
+    (
+        ("census", "--n", "1"),
+        0,
+        "class_count 2\nedge_count 1\ntrue_pairs 3\ntotal_pairs 4\nprobability 3/4\n",
+    ),
+    (
+        ("census", "--n", "2", "--json"),
+        0,
+        '{"n": 2, "class_count": 6, "edge_count": 10, "true_pairs": 34, '
+        '"total_pairs": 64, "probability": "17/32"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", _EXACT)
+def test_exact_output_bytes(capsys, argv, code, out):
+    assert run(capsys, *argv) == (code, out, "")
+
+
+_RANGE_ERROR = "error: n=2 outside the supported range 1..1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ("closure", "E x1 A x2", "--max-n", "1"),
+            "error: n=2 exceeds the oracle cap 1\n",
+        ),
+        (("graph", "--n", "2", "--max-n", "1"), _RANGE_ERROR),
+        (("census", "--n", "2", "--max-n", "1"), _RANGE_ERROR),
+    ],
+)
+def test_max_n_below_n_exits_3(capsys, argv, err):
+    assert run(capsys, *argv) == (3, "", err)
+
+
+def test_oracle_check_max_n_admits_reflexive_n9(capsys):
+    text = " ".join(f"A x{i}" for i in range(1, 10))
+    code, out, err = run(
+        capsys, "oracle-check", "--lhs", text, "--rhs", text, "--max-n", "9"
+    )
+    assert (code, out, err) == (0, "true\n", "")
+
+
 # --- module entry point ---------------------------------------------------------
 
 
