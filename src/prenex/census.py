@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import factorial, prod
 
-from .decide import raw_implies
+from .decide import _f_start, _position_table, _scan
 from .errors import InstanceTooLargeError
 from .oracle import _members, _moves
 from .prefix import CanonicalClass, Prefix, Quantifier, default_names
@@ -187,8 +187,10 @@ def count_pairs(n: int, cap: int = PAIR_CAP) -> CensusReport:
     mult = g.multiplicity
     true_pairs = 0
     for (sigma1, b1), m1 in zip(reps, mult):
+        # The decider's setup depends on the lhs alone: build it once per row.
+        pos, f = _position_table(sigma1), _f_start(b1)
         for (sigma2, b2), m2 in zip(reps, mult):
-            if raw_implies(sigma1, b1, sigma2, b2):
+            if _scan(pos, b1, sigma2, b2, f)[0]:
                 true_pairs += m1 * m2
     return _report(n, g, true_pairs)
 
@@ -198,13 +200,14 @@ def count_pairs_via_graph(n: int, cap: int = PAIR_CAP) -> CensusReport:
     _check_cap(n, cap)
     g = build_graph(n, cap=cap)
     mult = g.multiplicity
+    # One mask of vertices per distinct multiplicity: a row's weight is then
+    # a popcount per multiplicity instead of a walk over its bits.
+    masks: dict[int, int] = {}
+    for v, m in enumerate(mult):
+        masks[m] = masks.get(m, 0) | (1 << v)
     true_pairs = 0
     for u, bits in enumerate(reachability_bitsets(g)):
-        weight = 0
-        while bits:
-            low = bits & -bits
-            weight += mult[low.bit_length() - 1]
-            bits ^= low
+        weight = sum(m * (bits & mask).bit_count() for m, mask in masks.items())
         true_pairs += mult[u] * weight
     return _report(n, g, true_pairs)
 

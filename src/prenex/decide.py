@@ -9,14 +9,27 @@ are fatal and produce a witnessed reject:
 * case 4 - both sides are universal but an unverified existential element
   still sits behind the variable on the left (tracked by the F pointer).
 
-Everything else is bookkeeping: a position table for sigma1, a verified
-bitmap, and the F pointer, which rescans downward only from its previous
-value, so the whole decision is O(n).
+``_core`` is the reference semantics: a position table for sigma1, the F
+start (s1's last existential), then ``_scan``, a backward loop over s2 with
+a verified bitmap and an F pointer that rescans downward only from its
+previous value, so the whole decision is O(n).  It decides every pair below
+``_SCATTER_THRESHOLD`` variables.
+
+From that size up a decision has two stages, each returning exactly the
+tuple ``_core`` returns:
+
+* ``_probe`` runs the first scan step with one ``sigma1.index`` lookup, with
+  no table.  It decides first-step rejects in streaming time and never
+  loads numpy.
+* ``_kernel`` decides any other pair in a few numpy passes.  F before step i
+  is the largest existential position of s1 whose variable sits at an s2
+  index <= i, so F over all steps is a prefix maximum; step i rejects when
+  s2 is universal there and s1 is existential (case 5) or F lies behind the
+  variable (case 4), and the scan's first reject is the last such i.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,50 +76,41 @@ class DecideStats:
     rescan_steps: int
 
 
-# Above this size the position table is built by a vectorized scatter, which
-# is both faster and far less cache-hostile than a Python store loop.
+# Below this size `_core` decides; from it up, `_probe` then `_kernel`.  Per
+# call the kernel already wins from about 128 variables, but its first use
+# imports numpy (over 100 ms), which a process deciding a few pairs under
+# 256 variables never repays.
 _SCATTER_THRESHOLD = 256
 
 
-def _position_table(sigma: Sequence[int]):
+def _position_table(sigma: Sequence[int]) -> list[int]:
     """Flat table mapping variable index -> position, built in linear time."""
-    n = len(sigma)
-    if n < _SCATTER_THRESHOLD:
-        pos = [0] * n
-        for j, v in enumerate(sigma):
-            pos[v] = j
-        return pos
-    # Imported here, not at the top: numpy dominates `import prenex`, and
-    # nothing but this branch uses it.
-    import numpy as np
-
-    values = np.frombuffer(array("q", sigma), dtype=np.int64)
-    inverse = np.empty(n, dtype=np.int32)
-    inverse[values] = np.arange(n, dtype=np.int32)
-    return array("i", inverse.tobytes())
+    pos = [0] * len(sigma)
+    for j, v in enumerate(sigma):
+        pos[v] = j
+    return pos
 
 
-def _core(
-    sigma1: Sequence[int],
+def _f_start(b1: Sequence[int]) -> int:
+    """F's first value: s1's largest existential position, -1 when s1 is
+    all-universal (case 4 then never fires)."""
+    f = len(b1) - 1
+    while f >= 0 and b1[f]:
+        f -= 1
+    return f
+
+
+def _scan(
+    pos: Sequence[int],
     b1: Sequence[int],
     sigma2: Sequence[int],
     b2: Sequence[int],
+    f: int,
 ) -> tuple[bool, int, int, int, int, int]:
-    """Run the decision loop on integer-encoded inputs.
-
-    Returns (accepted, case_id, reject_i, blocking_f, f_initial, f_final).
-    ``b1``/``b2`` entries must be 0 (existential) or 1 (universal).
-    """
-    n = len(sigma1)
-    pos = _position_table(sigma1)
-    # F: largest existential index in s1, found by scanning from the back;
-    # -1 sentinel when s1 is all-universal (case 4 then never fires).
-    f = n - 1
-    while f >= 0 and b1[f]:
-        f -= 1
+    """The backward scan, given s1's position table and F's first value."""
     f_initial = f
-    verified = bytearray(n)
-    i = n - 1
+    verified = bytearray(len(pos))
+    i = len(sigma2) - 1
     while i >= 0:
         j = pos[sigma2[i]]
         if b2[i]:
@@ -125,11 +129,84 @@ def _core(
     return True, 0, -1, -1, f_initial, f
 
 
+def _core(
+    sigma1: Sequence[int],
+    b1: Sequence[int],
+    sigma2: Sequence[int],
+    b2: Sequence[int],
+) -> tuple[bool, int, int, int, int, int]:
+    """Run the decision loop on integer-encoded inputs.
+
+    Returns (accepted, case_id, reject_i, blocking_f, f_initial, f_final).
+    ``b1``/``b2`` entries must be 0 (existential) or 1 (universal).
+    """
+    return _scan(_position_table(sigma1), b1, sigma2, b2, _f_start(b1))
+
+
+def _probe(
+    sigma1: Sequence[int],
+    b1: Sequence[int],
+    sigma2: Sequence[int],
+    b2: Sequence[int],
+) -> tuple[bool, int, int, int, int, int] | None:
+    """``_core``'s result if the scan rejects at its first step, else None.
+
+    One streaming lookup replaces the position table.  Only a reject needs
+    F's value; whether F lies behind the variable is a search of s1's tail.
+    """
+    i = len(sigma2) - 1
+    if b2[i]:
+        j = sigma1.index(sigma2[i])
+        if not b1[j] or Quantifier.EXISTS in b1[j + 1 :]:
+            f = _f_start(b1)
+            return False, 4 if b1[j] else 5, i, f, f, f
+    return None
+
+
+def _kernel(
+    sigma1: Sequence[int],
+    b1: Sequence[int],
+    sigma2: Sequence[int],
+    b2: Sequence[int],
+) -> tuple[bool, int, int, int, int, int]:
+    """``_core``'s result from whole-array numpy passes instead of the loop."""
+    # Imported here, not at the top: numpy dominates `import prenex`, and
+    # nothing but this kernel uses it.
+    import numpy as np
+
+    n = len(sigma1)
+    pos = np.empty(n, np.intp)
+    pos[np.fromiter(sigma1, np.intp, n)] = np.arange(n)
+    j = pos[np.fromiter(sigma2, np.intp, n)]  # s1 position of each s2 step
+    univ = np.frombuffer(bytes(b1), np.bool_)[j]
+    f = np.maximum.accumulate(np.where(univ, -1, j))  # F before each step
+    bad = np.frombuffer(bytes(b2), np.bool_) & (~univ | (f > j))
+    f_initial = int(f[-1])
+    rejects = np.flatnonzero(bad)
+    if not rejects.size:
+        return True, 0, -1, -1, f_initial, -1
+    i = int(rejects[-1])
+    blocking = int(f[i])
+    return False, 4 if univ[i] else 5, i, blocking, f_initial, blocking
+
+
+def _decide(
+    sigma1: Sequence[int],
+    b1: Sequence[int],
+    sigma2: Sequence[int],
+    b2: Sequence[int],
+) -> tuple[bool, int, int, int, int, int]:
+    """``_core``'s result, from the stage that decides fastest at this size."""
+    if len(sigma1) < _SCATTER_THRESHOLD:
+        return _core(sigma1, b1, sigma2, b2)
+    return _probe(sigma1, b1, sigma2, b2) or _kernel(sigma1, b1, sigma2, b2)
+
+
 def decide_with_stats(s1: Prefix, s2: Prefix) -> tuple[Verdict, DecideStats]:
     """Like :func:`implies`, also reporting instrumented operation counts."""
     ensure_same_universe(s1, s2)
     n = s1.n
-    accepted, case_id, i, blocking_f, f_initial, f_final = _core(
+    accepted, case_id, i, blocking_f, f_initial, f_final = _decide(
         s1.sigma, s1.b, s2.sigma, s2.b
     )
     stats = DecideStats(
@@ -164,7 +241,7 @@ def raw_implies(
     b2: Sequence[int],
 ) -> bool:
     """Low-level entry for bulk sweeps: integer-encoded inputs, no validation."""
-    return _core(sigma1, b1, sigma2, b2)[0]
+    return _decide(sigma1, b1, sigma2, b2)[0]
 
 
 def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:

@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import permutations, product
 from math import comb
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import prenex
 from prenex import Prefix, Quantifier, default_names
+
+
+def run_python(*args: str, text: bool = False) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child process that imports the same prenex
+    as the tests, installed or not: pytest's ``pythonpath`` setting reaches
+    only this process, so the child gets the package's parent directory on
+    ``PYTHONPATH``."""
+    src = str(Path(prenex.__file__).parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=text, env=env
+    )
 
 
 def make_prefix(sigma, bits, names=None) -> Prefix:

@@ -8,8 +8,6 @@ module-scoped fixtures, so rejecting pairs are validated once and reused.
 import json
 import math
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -33,7 +31,7 @@ from prenex import (
 )
 from prenex.cli import run_bench
 from prenex.oracle import _bits_of, _explore, _pack
-from support import all_raw_prefixes, fubini
+from support import all_raw_prefixes, fubini, run_python
 
 # Sampled-sweep grids: the 10^4 pairs per n come from an (s1 x s2) grid of
 # independent uniform samples, so each s1 class's closure is computed once
@@ -334,9 +332,7 @@ def test_criterion_7_witness_validity(exhaustive_sweep, sampled_sweep):
 
 def test_criterion_8_determinism():
     def run_cli(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "prenex", *argv], capture_output=True
-        )
+        proc = run_python("-m", "prenex", *argv)
         return proc.returncode, proc.stdout
 
     checks = []

@@ -1,7 +1,5 @@
 import io
 import json
-import subprocess
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prenex.cli import main, run_bench
-from support import prefix_text_pairs
+from support import prefix_text_pairs, run_python
 
 
 def run(capsys, *argv):
@@ -491,19 +489,11 @@ def test_oracle_check_max_n_admits_reflexive_n9(capsys):
 
 
 def test_python_m_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "prenex", "check", "--lhs", "A x1", "--rhs", "E x1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "prenex", "check", "--lhs", "A x1", "--rhs", "E x1", text=True)
     assert proc.returncode == 0
     assert proc.stdout == "accept\n"
 
 
 def test_usage_error_exits_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "prenex", "check", "--lhs", "A x1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "prenex", "check", "--lhs", "A x1", text=True)
     assert proc.returncode == 2

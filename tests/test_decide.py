@@ -1,12 +1,7 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
+from itertools import product
 
 import pytest
-
-import prenex
 
 from prenex import (
     LengthMismatchError,
@@ -21,7 +16,8 @@ from prenex import (
     random_prefix,
     validate_witness,
 )
-from support import all_raw_prefixes, make_prefix
+from prenex.decide import _SCATTER_THRESHOLD, _core, _decide, _kernel, _probe
+from support import all_raw_prefixes, all_raw_states, make_prefix, run_python
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
 
@@ -189,16 +185,151 @@ def test_numpy_loads_only_for_large_decisions():
     code = (
         "import sys\n"
         "from prenex import default_names, implies, oracle_implies, parse_prefix_pair\n"
+        "from prenex.decide import _SCATTER_THRESHOLD as T\n"
+        "def text(q, n):\n"
+        "    return ' '.join(q + ' ' + name for name in default_names(n))\n"
         "pair = parse_prefix_pair('E x1 A x2', 'A x2 E x1')\n"
         "assert oracle_implies(*pair) and implies(*pair).accepted\n"
+        "assert implies(*parse_prefix_pair(text('A', T - 1), text('A', T - 1))).accepted\n"
         "print('numpy' in sys.modules)\n"
-        "text = ' '.join('A ' + name for name in default_names(256))\n"
-        "assert implies(*parse_prefix_pair(text, text)).accepted\n"
+        "verdict = implies(*parse_prefix_pair(text('E', T), text('A', T)))\n"
+        "assert verdict.witness.case_id == 5 and verdict.witness.s2_position == T - 1\n"
+        "print('numpy' in sys.modules)\n"
+        "assert implies(*parse_prefix_pair(text('A', T), text('A', T))).accepted\n"
         "print('numpy' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(prenex.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
+    proc = run_python("-c", code, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "True"]
+
+
+# --- the probe and the vector kernel against the reference loop --------------
+
+
+def raw(s1, s2):
+    return s1.sigma, s1.b, s2.sigma, s2.b
+
+
+def assert_stages_match_core(sigma1, b1, sigma2, b2):
+    """The kernel returns ``_core``'s tuple; the probe returns it exactly
+    when the scan rejects at its first step, and None otherwise."""
+    expected = _core(sigma1, b1, sigma2, b2)
+    assert _kernel(sigma1, b1, sigma2, b2) == expected
+    first_step_reject = expected[2] == len(sigma2) - 1
+    assert _probe(sigma1, b1, sigma2, b2) == (expected if first_step_reject else None)
+    return expected
+
+
+def test_kernel_matches_core_on_every_raw_pair():
+    for n in (1, 2, 3, 4):
+        states = list(all_raw_states(n))
+        for (sigma1, b1), (sigma2, b2) in product(states, repeat=2):
+            assert_stages_match_core(sigma1, b1, sigma2, b2)
+
+
+def test_kernel_matches_core_on_sampled_pairs():
+    rng = random.Random(107)
+    for _ in range(20_000):
+        n = rng.randint(5, 9)
+        names = default_names(n)
+        assert_stages_match_core(
+            *raw(random_prefix(n, rng, names), random_prefix(n, rng, names))
+        )
+
+
+def shuffle_runs(rng, sigma, bits):
+    """Shuffle ``sigma`` inside each run of equal ``bits``, in place."""
+    start = 0
+    for i in range(1, len(bits) + 1):
+        if i == len(bits) or bits[i] != bits[start]:
+            chunk = sigma[start:i]
+            rng.shuffle(chunk)
+            sigma[start:i] = chunk
+            start = i
+
+
+def move_derived(rng, s1):
+    """An s2 that s1 implies, reached by the sound moves: existentials swapped
+    past following universals, about 10% of universals flipped, then a
+    shuffle inside every run."""
+    sigma, bits = list(s1.sigma), [int(q) for q in s1.b]
+    for i in range(len(bits) - 1):
+        if bits[i : i + 2] == [0, 1] and rng.random() < 0.3:
+            sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+            bits[i], bits[i + 1] = 1, 0
+    bits = [q and int(rng.random() >= 0.1) for q in bits]
+    shuffle_runs(rng, sigma, bits)
+    return make_prefix(sigma, bits, s1.names)
+
+
+def burst_pair(rng, n):
+    """s1 with four long existential runs and s2 with each of them reversed,
+    so that F rescans every run in one burst."""
+    bits = [rng.getrandbits(1) for _ in range(n)]
+    run = n // 8
+    for k in range(4):
+        start = (2 * k + 1) * run
+        bits[start - 1 : start + run] = [1] + [0] * run
+    s1 = make_prefix(random_prefix(n, rng).sigma, bits)
+    sigma2 = list(s1.sigma)
+    for k in range(4):
+        start = (2 * k + 1) * run
+        sigma2[start : start + run] = sigma2[start : start + run][::-1]
+    return s1, make_prefix(sigma2, bits, s1.names)
+
+
+def planted_reject(s1, s2, case_id):
+    """s2 with one quantifier made universal mid-scan so that the scan
+    rejects there with ``case_id``; the steps after it are unchanged."""
+    n = s1.n
+    pos = {v: j for j, v in enumerate(s1.sigma)}
+    j2 = [pos[v] for v in s2.sigma]
+    # the largest existential s1 position among s2 indices below each index
+    behind, seen = [], -1
+    for j in j2:
+        behind.append(seen)
+        if not s1.b[j]:
+            seen = max(seen, j)
+
+    def fires(i):
+        j = j2[i]
+        return not s1.b[j] if case_id == 5 else s1.b[j] and behind[i] > j
+
+    i = next(i for i in range(n // 2, 0, -1) if fires(i))
+    bits = [int(q) for q in s2.b]
+    bits[i] = 1
+    return make_prefix(s2.sigma, bits, s2.names), i
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_kernel_matches_core_on_large_pairs(n):
+    rng = random.Random(108 + n)
+    s1 = random_prefix(n, rng)
+    moved = move_derived(rng, s1)
+    for pair in ((s1, moved), burst_pair(rng, n)):
+        assert assert_stages_match_core(*raw(*pair))[0]
+    for case_id in (5, 4):
+        s2, i = planted_reject(s1, moved, case_id)
+        result = assert_stages_match_core(*raw(s1, s2))
+        assert result[:3] == (False, case_id, i)
+
+
+@pytest.mark.parametrize("n", [_SCATTER_THRESHOLD - 1, _SCATTER_THRESHOLD])
+def test_dispatch_matches_core_at_the_threshold(n):
+    rng = random.Random(109 + n)
+    names = default_names(n)
+    for _ in range(50):
+        s1 = random_prefix(n, rng, names)
+        for s2 in (random_prefix(n, rng, names), move_derived(rng, s1), s1):
+            expected = _core(*raw(s1, s2))
+            assert _decide(*raw(s1, s2)) == expected
+            accepted, case_id, i, blocking_f, f_initial, f_final = expected
+            verdict, stats = decide_with_stats(s1, s2)
+            assert implies(s1, s2) == verdict
+            assert verdict.accepted == accepted
+            assert stats.rescan_steps == f_initial - f_final
+            assert stats.loop_steps == (n if accepted else n - i)
+            if not accepted:
+                w = verdict.witness
+                assert (w.case_id, w.s2_position, w.variable) == (case_id, i, s2.sigma[i])
+                assert w.blocking_f == (blocking_f if case_id == 4 else None)
