@@ -183,7 +183,7 @@ def count_pairs(n: int, cap: int = PAIR_CAP) -> CensusReport:
     """
     _check_cap(n, cap)
     g = build_graph(n, cap=cap)
-    reps = [(cls.rep.sigma, bytes(cls.rep.b)) for cls in g.vertices]
+    reps = [(cls.rep.sigma, cls.rep.bits) for cls in g.vertices]
     mult = g.multiplicity
     true_pairs = 0
     for (sigma1, b1), m1 in zip(reps, mult):

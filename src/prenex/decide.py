@@ -9,6 +9,8 @@ are fatal and produce a witnessed reject:
 * case 4 - both sides are universal but an unverified existential element
   still sits behind the variable on the left (tracked by the F pointer).
 
+Every stage reads the quantifiers as ``Prefix.bits``, one byte per position
+(0 existential, 1 universal), and never builds the ``b`` tuple view.
 ``_core`` is the reference semantics: a position table for sigma1, the F
 start (s1's last existential), then ``_scan``, a backward loop over s2 with
 a verified bitmap and an F pointer that rescans downward only from its
@@ -91,20 +93,17 @@ def _position_table(sigma: Sequence[int]) -> list[int]:
     return pos
 
 
-def _f_start(b1: Sequence[int]) -> int:
+def _f_start(b1: bytes) -> int:
     """F's first value: s1's largest existential position, -1 when s1 is
     all-universal (case 4 then never fires)."""
-    f = len(b1) - 1
-    while f >= 0 and b1[f]:
-        f -= 1
-    return f
+    return b1.rfind(0)
 
 
 def _scan(
     pos: Sequence[int],
-    b1: Sequence[int],
+    b1: bytes,
     sigma2: Sequence[int],
-    b2: Sequence[int],
+    b2: bytes,
     f: int,
 ) -> tuple[bool, int, int, int, int, int]:
     """The backward scan, given s1's position table and F's first value."""
@@ -131,23 +130,23 @@ def _scan(
 
 def _core(
     sigma1: Sequence[int],
-    b1: Sequence[int],
+    b1: bytes,
     sigma2: Sequence[int],
-    b2: Sequence[int],
+    b2: bytes,
 ) -> tuple[bool, int, int, int, int, int]:
     """Run the decision loop on integer-encoded inputs.
 
     Returns (accepted, case_id, reject_i, blocking_f, f_initial, f_final).
-    ``b1``/``b2`` entries must be 0 (existential) or 1 (universal).
+    ``b1``/``b2`` hold one byte per position, 0 (existential) or 1 (universal).
     """
     return _scan(_position_table(sigma1), b1, sigma2, b2, _f_start(b1))
 
 
 def _probe(
     sigma1: Sequence[int],
-    b1: Sequence[int],
+    b1: bytes,
     sigma2: Sequence[int],
-    b2: Sequence[int],
+    b2: bytes,
 ) -> tuple[bool, int, int, int, int, int] | None:
     """``_core``'s result if the scan rejects at its first step, else None.
 
@@ -157,7 +156,7 @@ def _probe(
     i = len(sigma2) - 1
     if b2[i]:
         j = sigma1.index(sigma2[i])
-        if not b1[j] or Quantifier.EXISTS in b1[j + 1 :]:
+        if not b1[j] or 0 in b1[j + 1 :]:
             f = _f_start(b1)
             return False, 4 if b1[j] else 5, i, f, f, f
     return None
@@ -165,9 +164,9 @@ def _probe(
 
 def _kernel(
     sigma1: Sequence[int],
-    b1: Sequence[int],
+    b1: bytes,
     sigma2: Sequence[int],
-    b2: Sequence[int],
+    b2: bytes,
 ) -> tuple[bool, int, int, int, int, int]:
     """``_core``'s result from whole-array numpy passes instead of the loop."""
     # Imported here, not at the top: numpy dominates `import prenex`, and
@@ -178,9 +177,9 @@ def _kernel(
     pos = np.empty(n, np.intp)
     pos[np.fromiter(sigma1, np.intp, n)] = np.arange(n)
     j = pos[np.fromiter(sigma2, np.intp, n)]  # s1 position of each s2 step
-    univ = np.frombuffer(bytes(b1), np.bool_)[j]
+    univ = np.frombuffer(b1, np.bool_)[j]
     f = np.maximum.accumulate(np.where(univ, -1, j))  # F before each step
-    bad = np.frombuffer(bytes(b2), np.bool_) & (~univ | (f > j))
+    bad = np.frombuffer(b2, np.bool_) & (~univ | (f > j))
     f_initial = int(f[-1])
     rejects = np.flatnonzero(bad)
     if not rejects.size:
@@ -192,9 +191,9 @@ def _kernel(
 
 def _decide(
     sigma1: Sequence[int],
-    b1: Sequence[int],
+    b1: bytes,
     sigma2: Sequence[int],
-    b2: Sequence[int],
+    b2: bytes,
 ) -> tuple[bool, int, int, int, int, int]:
     """``_core``'s result, from the stage that decides fastest at this size."""
     if len(sigma1) < _SCATTER_THRESHOLD:
@@ -207,7 +206,7 @@ def decide_with_stats(s1: Prefix, s2: Prefix) -> tuple[Verdict, DecideStats]:
     ensure_same_universe(s1, s2)
     n = s1.n
     accepted, case_id, i, blocking_f, f_initial, f_final = _decide(
-        s1.sigma, s1.b, s2.sigma, s2.b
+        s1.sigma, s1.bits, s2.sigma, s2.bits
     )
     stats = DecideStats(
         n=n,
@@ -240,8 +239,12 @@ def raw_implies(
     sigma2: Sequence[int],
     b2: Sequence[int],
 ) -> bool:
-    """Low-level entry for bulk sweeps: integer-encoded inputs, no validation."""
-    return _decide(sigma1, b1, sigma2, b2)[0]
+    """Low-level entry for bulk sweeps: integer-encoded inputs, no validation.
+
+    ``b1``/``b2`` may be 0/1 ``bytes``, used as they are, or any sequence
+    of 0/1 ints or Quantifier members.
+    """
+    return _decide(sigma1, bytes(b1), sigma2, bytes(b2))[0]
 
 
 def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
@@ -261,16 +264,16 @@ def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
         j = s1.sigma.index(w.variable)
     except ValueError:
         return False
-    q1 = s1.b[j]
-    q2 = s2.b[w.s2_position]
+    q1 = s1.bits[j]
+    q2 = s2.bits[w.s2_position]
     if w.case_id == 5:
-        return q1 is Quantifier.EXISTS and q2 is Quantifier.FORALL and w.blocking_f is None
+        return q1 == Quantifier.EXISTS and q2 == Quantifier.FORALL and w.blocking_f is None
     if w.case_id == 4:
         return (
-            q1 is Quantifier.FORALL
-            and q2 is Quantifier.FORALL
+            q1 == Quantifier.FORALL
+            and q2 == Quantifier.FORALL
             and w.blocking_f is not None
             and w.blocking_f > j
-            and s1.b[w.blocking_f] is Quantifier.EXISTS
+            and s1.bits[w.blocking_f] == Quantifier.EXISTS
         )
     return False

@@ -103,12 +103,9 @@ def successors(p: Prefix) -> set[Prefix]:
     return {apply_move(p, move) for move in applicable_moves(p)}
 
 
-def _bits_of(b: tuple[Quantifier, ...]) -> int:
-    bits = 0
-    for i, q in enumerate(b):
-        if q:
-            bits |= 1 << i
-    return bits
+def _bits_of(bits: bytes) -> int:
+    """Quantifier bytes as an int, bit i set when position i is universal."""
+    return sum(q << i for i, q in enumerate(bits))
 
 
 def _pack(sigma: tuple[int, ...], bits: int, n: int) -> int:
@@ -118,11 +115,10 @@ def _pack(sigma: tuple[int, ...], bits: int, n: int) -> int:
     return state
 
 
-def _unpack(state: int, n: int) -> tuple[tuple[int, ...], tuple[Quantifier, ...]]:
+def _unpack(state: int, n: int) -> tuple[tuple[int, ...], bytes]:
     sigma = tuple((state >> (4 * i)) & 15 for i in range(n))
-    bits = state >> (4 * n)
-    b = tuple(Quantifier((bits >> i) & 1) for i in range(n))
-    return sigma, b
+    word = state >> (4 * n)
+    return sigma, bytes((word >> i) & 1 for i in range(n))
 
 
 def _moves(state: int, n: int) -> list[int]:
@@ -162,7 +158,7 @@ def _members(p: Prefix) -> list[int]:
         ]
         for r in runs(p)
     ]
-    base = _bits_of(p.b) << (4 * p.n)
+    base = _bits_of(p.bits) << (4 * p.n)
     return [base + sum(parts) for parts in product(*blocks)]
 
 
@@ -215,9 +211,9 @@ def oracle_implies(s1: Prefix, s2: Prefix, max_n: int = ORACLE_CAP) -> bool:
     n = s1.n
     _check_cap(n, max_n)
     # Return before listing s2's class (up to n! states) when the root is in it.
-    if s1.b == s2.b and equivalent(s1, s2):
+    if s1.bits == s2.bits and equivalent(s1, s2):
         return True
-    found, _ = _explore(s1.sigma, _bits_of(s1.b), n, targets=set(_members(s2)))
+    found, _ = _explore(s1.sigma, _bits_of(s1.bits), n, targets=set(_members(s2)))
     return found
 
 
@@ -229,14 +225,14 @@ def closure(p: Prefix, max_n: int = ORACLE_CAP) -> list[CanonicalClass]:
     """
     n = p.n
     _check_cap(n, max_n)
-    _, visited = _explore(p.sigma, _bits_of(p.b), n)
+    _, visited = _explore(p.sigma, _bits_of(p.bits), n)
     out = []
     for state in visited:
         # Flips and exists-forall swaps lower the packed value, and a same-run
         # swap lowers it exactly when the pair was ascending, so the states
         # sorted inside each run are the ones that no move raises.
         if all(nxt < state for nxt in _moves(state, n)):
-            sigma, b = _unpack(state, n)
-            out.append(CanonicalClass(Prefix(sigma, b, p.names)))
+            sigma, bits = _unpack(state, n)
+            out.append(CanonicalClass(Prefix(sigma, bits, p.names)))
     out.sort(key=lambda c: c.text)
     return out

@@ -1,8 +1,10 @@
 """Quantifier-prefix data model: text grammar, runs, canonical form, equivalence.
 
 A prefix over n variables is an ordered list ``sigma`` (a permutation of
-``0..n-1`` giving the variable order) together with a quantifier string ``b``
-(``b[i]`` quantifies the variable at position ``i``).  Variable indices are
+``0..n-1`` giving the variable order) together with a quantifier string,
+stored once as ``bits``: one byte per position, 0 for an existential and 1
+for a universal, quantifying the variable at that position.  ``b`` is a tuple
+view of ``Quantifier`` members over those bytes.  Variable indices are
 tied to names through the ``names`` tuple: ``names[v]`` is the name of
 variable index ``v``, and the parser assigns indices by ascending
 lexicographic order of the names so that both sides of a pair share one
@@ -13,10 +15,11 @@ from __future__ import annotations
 
 import operator
 import random
-import re
+import string
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Iterable
 
 from .errors import (
     DuplicateVariableError,
@@ -42,12 +45,6 @@ __all__ = [
     "random_prefix",
 ]
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_IDENT = re.compile(_NAME + r"\Z")
-# Every name of a text, joined by single spaces (names hold no whitespace).
-_IDENTS = re.compile(rf"{_NAME}(?: {_NAME})*\Z")
-
-
 class Quantifier(IntEnum):
     """Quantifier tag; the encoding EXISTS=0 < FORALL=1 is load-bearing."""
 
@@ -59,39 +56,78 @@ class Quantifier(IntEnum):
         return "A" if self else "E"
 
 
-_QUANT_TOKENS = {
-    "A": Quantifier.FORALL,
-    "∀": Quantifier.FORALL,
-    "E": Quantifier.EXISTS,
-    "∃": Quantifier.EXISTS,
-}
+# Quantifier members by stored byte, and their letters.
+_QUANTS = tuple(Quantifier)
+_LETTERS = tuple(q.letter for q in Quantifier)
+
+_QUANT_CHARS = "AE∀∃"
+_QUANT_TOKENS = frozenset(_QUANT_CHARS)
+# ASCII quantifier letters to stored bytes.
+_LETTER_BITS = bytes.maketrans(b"AE", b"\x01\x00")
+# Name characters to two classes: letters and "_" to "a", digits to "0".
+_NAME_HEADS = (string.ascii_letters + "_").encode()
+_NAME_CLASSES = bytes.maketrans(
+    _NAME_HEADS + string.digits.encode(), b"a" * len(_NAME_HEADS) + b"0" * 10
+)
 
 
-@dataclass(frozen=True)
+def _valid_names(text: str) -> bool:
+    """True iff every space-separated name in ``text`` (names joined by single
+    spaces) matches ``[A-Za-z_][A-Za-z0-9_]*``."""
+    if not text.isascii():
+        return False
+    classes = text.encode().translate(_NAME_CLASSES)
+    return (
+        not classes.translate(None, b"a0 ")
+        and not classes.startswith(b"0")
+        and b" 0" not in classes
+    )
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Prefix:
     """Immutable raw prefix: variable order ``sigma``, quantifiers ``b``, ``names``.
 
     ``sigma`` must be a permutation of ``0..n-1`` with n >= 1; ``names`` must be
     distinct and nonempty.  Instances are hashable and safe to share.
 
+    The quantifiers are stored once, in ``bits``: one byte per position, 0 for
+    EXISTS and 1 for FORALL.  ``b`` is a tuple view of Quantifier members over
+    those bytes, built on first access; the decider reads ``bits`` and never
+    builds it.  The constructor takes ``b`` as 0/1 ``bytes``, which it stores
+    as they are, or as Quantifier members or 0/1 ints, whose tuple of members
+    it keeps as the view.
+
     Direct construction checks every one of these invariants.  The parsers
     build their results without repeating the checks, because parsing has
     already established each of them.
     """
 
+    # Slots keep a prefix as small as the tuple-field layout was, bytes
+    # included; ``_view`` holds ``b`` once it is built.
+    __slots__ = ("sigma", "bits", "names", "_view", "__weakref__")
+    __match_args__ = ("sigma", "b", "names")
     sigma: tuple[int, ...]
-    b: tuple[Quantifier, ...]
+    bits: bytes
     names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        sigma = tuple(self.sigma)
-        b = tuple(self.b)
-        names = tuple(self.names)
-        if set(map(type, b)) - {Quantifier}:
-            b = tuple(map(Quantifier, b))
+    def __init__(
+        self, sigma: Iterable[int], b: bytes | Iterable[int], names: Iterable[str]
+    ) -> None:
+        sigma = tuple(sigma)
+        names = tuple(names)
+        view = None
+        if type(b) is not bytes or b.translate(None, b"\x00\x01"):
+            view = tuple(b)
+            if set(map(type, view)) - {Quantifier}:
+                # ValueError for anything but 0 and 1
+                view = tuple(map(Quantifier, view))
+            b = bytes(view)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "bits", b)
         object.__setattr__(self, "names", names)
+        if view is not None:  # already the view: keep it rather than build another
+            object.__setattr__(self, "_view", view)
         n = len(sigma)
         if n == 0:
             raise EmptyPrefixError("a prefix must quantify at least one variable")
@@ -106,8 +142,29 @@ class Prefix:
             raise ValueError("variable names must be nonempty and distinct")
 
     @property
+    def b(self) -> tuple[Quantifier, ...]:
+        """The quantifiers as Quantifier members: a tuple view over ``bits``."""
+        try:
+            return self._view
+        except AttributeError:
+            view = tuple(map(_QUANTS.__getitem__, self.bits))
+            object.__setattr__(self, "_view", view)
+            return view
+
+    @property
     def n(self) -> int:
         return len(self.sigma)
+
+    def __reduce__(self):
+        # Rebuilt through the checking constructor: the frozen __setattr__
+        # refuses pickle's default slot-by-slot restore.
+        return Prefix, (self.sigma, self.bits, self.names)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(sigma={self.sigma!r}, b={self.b!r}, "
+            f"names={self.names!r})"
+        )
 
     def __str__(self) -> str:
         return format_prefix(self)
@@ -139,13 +196,16 @@ class CanonicalClass:
 def runs(p: Prefix) -> tuple[Run, ...]:
     """Decompose ``p`` into its maximal constant-quantifier runs, in order."""
     out = []
-    b = p.b
+    bits = p.bits
+    n = len(bits)
     start = 0
-    for i in range(1, len(b)):
-        if b[i] is not b[start]:
-            out.append(Run(start, i - start, b[start]))
-            start = i
-    out.append(Run(start, len(b) - start, b[start]))
+    while start < n:
+        q = bits[start]
+        stop = bits.find(1 - q, start)  # the run ends at the other quantifier
+        if stop < 0:
+            stop = n
+        out.append(Run(start, stop - start, _QUANTS[q]))
+        start = stop
     return tuple(out)
 
 
@@ -158,7 +218,7 @@ def canonicalize(p: Prefix) -> CanonicalClass:
     for r in runs(p):
         stop = r.start + r.length
         sigma[r.start:stop] = sorted(sigma[r.start:stop])
-    return CanonicalClass(Prefix(tuple(sigma), p.b, p.names))
+    return CanonicalClass(Prefix(tuple(sigma), p.bits, p.names))
 
 
 def ensure_same_universe(p1: Prefix, p2: Prefix) -> None:
@@ -183,14 +243,14 @@ def equivalent(p1: Prefix, p2: Prefix) -> bool:
 def format_prefix(p: Prefix) -> str:
     """Canonical ASCII text: 'A'/'E' and name tokens, single-space separated."""
     names = p.names
-    return " ".join(f"{q.letter} {names[v]}" for q, v in zip(p.b, p.sigma))
+    return " ".join(f"{_LETTERS[q]} {names[v]}" for q, v in zip(p.bits, p.sigma))
 
 
 def _scan(
     text: str, known: set[str] | None = None
-) -> tuple[list[str], tuple[Quantifier, ...], set[str]]:
-    """Tokenize one prefix text into its names in order, their quantifiers,
-    and the set of its names.
+) -> tuple[list[str], bytes, set[str]]:
+    """Tokenize one prefix text into its names in order, their quantifier
+    bytes, and the set of its names.
 
     Grammar (whitespace-separated tokens)::
 
@@ -200,7 +260,7 @@ def _scan(
 
     Each rule is checked once over the whole token list; only a text that
     breaks one is walked pair by pair, to report its first fault.  A name set
-    equal to ``known`` (names already checked) needs no identifier regex, and
+    equal to ``known`` (names already checked) needs no identifier check, and
     ``known`` itself is returned for it, so the caller can compare by identity.
     """
     tokens = text.split()
@@ -212,16 +272,21 @@ def _scan(
         )
     quants = tokens[::2]
     order = tokens[1::2]
+    # Tokens are nonempty, so equal lengths mean one character per token.
+    letters = "".join(quants)
     name_set = set(order)
     if name_set == known:
         name_set = known
     if not (
-        _QUANT_TOKENS.keys() >= set(quants)
-        and (name_set is known or _IDENTS.match(" ".join(order)))
+        len(letters) == len(quants)
+        and not letters.strip(_QUANT_CHARS)
+        and (name_set is known or _valid_names(" ".join(order)))
         and len(name_set) == len(order)
     ):
         _raise_first_fault(quants, order)
-    return order, tuple(map(_QUANT_TOKENS.__getitem__, quants)), name_set
+    if not letters.isascii():
+        letters = letters.replace("∀", "A").replace("∃", "E")
+    return order, letters.encode().translate(_LETTER_BITS), name_set
 
 
 def _raise_first_fault(quants: list[str], order: list[str]) -> None:
@@ -230,40 +295,39 @@ def _raise_first_fault(quants: list[str], order: list[str]) -> None:
     for quant_tok, name in zip(quants, order):
         if quant_tok not in _QUANT_TOKENS:
             raise PrefixSyntaxError(f"expected quantifier token, got {quant_tok!r}")
-        if not _IDENT.match(name):
+        if not _valid_names(name):
             raise PrefixSyntaxError(f"invalid variable name {name!r}")
         if name in seen:
             raise DuplicateVariableError(f"variable {name!r} quantified twice")
         seen.add(name)
 
 
-def _trusted(
-    sigma: tuple[int, ...], b: tuple[Quantifier, ...], names: tuple[str, ...]
-) -> Prefix:
-    """A Prefix built without ``__post_init__``, for fields that ``_scan`` and
-    ``_build`` have proved valid: n >= 1, distinct valid names, ``b`` of
-    Quantifier members, and ``sigma`` a permutation of ``0..n-1``."""
+def _trusted(sigma: tuple[int, ...], bits: bytes, names: tuple[str, ...]) -> Prefix:
+    """A Prefix built without ``__init__``, for fields that ``_scan`` and
+    ``_build`` have proved valid: n >= 1, distinct valid names, ``bits`` of
+    0/1 bytes, and ``sigma`` a permutation of ``0..n-1``."""
     p = object.__new__(Prefix)
-    # Field-order setattr keeps the key-sharing instance dict; __dict__.update does not.
     object.__setattr__(p, "sigma", sigma)
-    object.__setattr__(p, "b", b)
+    object.__setattr__(p, "bits", bits)
     object.__setattr__(p, "names", names)
     return p
 
 
 def _build(
-    names: tuple[str, ...], *sides: tuple[list[str], tuple[Quantifier, ...]]
+    names: tuple[str, ...], *sides: tuple[list[str], bytes]
 ) -> tuple[Prefix, ...]:
-    """One prefix per (text order, quantifiers) side, all indexed by ``names``,
-    the sorted name tuple that every side's order is a permutation of."""
+    """One prefix per (text order, quantifier bytes) side, all indexed by
+    ``names``, the sorted name tuple that every side's order is a permutation of."""
     index = dict(zip(names, range(len(names)))).__getitem__
-    return tuple(_trusted(tuple(map(index, order)), b, names) for order, b in sides)
+    return tuple(
+        _trusted(tuple(map(index, order)), bits, names) for order, bits in sides
+    )
 
 
 def parse_prefix(text: str) -> Prefix:
     """Parse a single prefix; indices follow ascending lexicographic name order."""
-    order, b, _ = _scan(text)
-    return _build(tuple(sorted(order)), (order, b))[0]
+    order, bits, _ = _scan(text)
+    return _build(tuple(sorted(order)), (order, bits))[0]
 
 
 def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
@@ -308,5 +372,5 @@ def random_prefix(
         # Rebox the shuffled values so the int objects lie in slot order;
         # sequential consumers then avoid shuffle-order cache misses.
         sigma = array("q", sigma).tolist()
-    b = tuple(Quantifier(rng.getrandbits(1)) for _ in range(n))
-    return Prefix(tuple(sigma), b, names)
+    bits = bytes(rng.getrandbits(1) for _ in range(n))
+    return Prefix(tuple(sigma), bits, names)

@@ -36,16 +36,16 @@ def make_prefix(sigma, bits, names=None) -> Prefix:
 
 
 def all_raw_states(n):
-    """Every raw (sigma, bits) pair at n, as int tuples."""
+    """Every raw (sigma, quantifier bytes) pair at n, sigma as an int tuple."""
     for sigma in permutations(range(n)):
         for bits in product((0, 1), repeat=n):
-            yield sigma, bits
+            yield sigma, bytes(bits)
 
 
 def all_raw_prefixes(n):
     names = default_names(n)
     for sigma, bits in all_raw_states(n):
-        yield Prefix(sigma, tuple(Quantifier(b) for b in bits), names)
+        yield Prefix(sigma, bits, names)
 
 
 def fubini(n: int) -> int:
@@ -56,10 +56,13 @@ def fubini(n: int) -> int:
     return values[n]
 
 
-# Prefix-text fuzzing: mostly well-formed tokens, with every kind of fault.
-QUANT_TOKENS = ["A", "E", "∀", "∃"] * 4 + ["B", "a"]
+# Prefix-text fuzzing: mostly well-formed tokens, with every kind of fault,
+# among them quantifier tokens of several characters and names with a fault
+# past their first character or outside ASCII.
+QUANT_TOKENS = ["A", "E", "∀", "∃"] * 8 + ["B", "a", "AE", "A∀", "∃∃"]
 GOOD_NAMES = ["x1", "x2", "x10", "_y", "Z_9", "q", "b2", "y_"]
-NAME_TOKENS = GOOD_NAMES * 3 + ["1x", "é", "x-1"]
+BAD_NAMES = ["1x", "é", "x-1", "xé", "x٣", "ﬁ", "x.y", "x\x00", "x\udcff"]
+NAME_TOKENS = GOOD_NAMES * 6 + BAD_NAMES
 SEPARATORS = [" ", "  ", "\t", "\n", "\xa0", " \t\n"]
 
 

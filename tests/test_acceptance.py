@@ -47,7 +47,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def class_key(p: Prefix, n: int) -> int:
     rep = canonicalize(p).rep
-    return _pack(rep.sigma, _bits_of(rep.b), n)
+    return _pack(rep.sigma, _bits_of(rep.bits), n)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def exhaustive_sweep():
         closures = {}
         for p, key in zip(states, keys):
             if key not in closures:
-                _, closures[key] = _explore(p.sigma, _bits_of(p.b), n)
+                _, closures[key] = _explore(p.sigma, _bits_of(p.bits), n)
         checked = mismatches = rejects = bad_witnesses = 0
         acceptance = []
         for s1, key1 in zip(states, keys):
@@ -112,7 +112,7 @@ def sampled_sweep():
             key1 = class_key(s1, n)
             reach = closures.get(key1)
             if reach is None:
-                _, visited = _explore(s1.sigma, _bits_of(s1.b), n)
+                _, visited = _explore(s1.sigma, _bits_of(s1.bits), n)
                 # cache only the s2 keys reached: a visited set at n = 8 can
                 # hold millions of raw states
                 reach = closures[key1] = s2_key_set & visited

@@ -11,6 +11,7 @@ from prenex import (
     default_names,
     equivalent,
     implies,
+    oracle_implies,
     parse_prefix,
     parse_prefix_pair,
     random_prefix,
@@ -181,6 +182,22 @@ def test_decider_not_fooled_by_uncanonical_input():
     assert implies(s1, s2).accepted
 
 
+@pytest.mark.parametrize("n", [5, _SCATTER_THRESHOLD])
+def test_decisions_never_build_the_tuple_view(n):
+    # the reference loop, the probe (first-step reject) and the kernel
+    # (accept) read the packed bytes; oracle_implies reads them too
+    texts = [" ".join(f"{q} {name}" for name in default_names(n)) for q in "EA"]
+    for lhs, rhs in ((texts[0], texts[1]), (texts[1], texts[1])):
+        s1, s2 = parse_prefix_pair(lhs, rhs)
+        decide_with_stats(s1, s2)
+        if n <= 5:
+            oracle_implies(s1, s2)
+        # ``_view`` is the slot that holds ``b`` once it is built
+        assert not hasattr(s1, "_view") and not hasattr(s2, "_view")
+    s1.b
+    assert hasattr(s1, "_view")
+
+
 def test_numpy_loads_only_for_large_decisions():
     code = (
         "import sys\n"
@@ -207,7 +224,8 @@ def test_numpy_loads_only_for_large_decisions():
 
 
 def raw(s1, s2):
-    return s1.sigma, s1.b, s2.sigma, s2.b
+    """The private stages' arguments: sigmas and packed quantifier bytes."""
+    return s1.sigma, s1.bits, s2.sigma, s2.bits
 
 
 def assert_stages_match_core(sigma1, b1, sigma2, b2):

@@ -85,7 +85,7 @@ def test_packed_moves_match_successors():
     # readable apply_move reference
     for n in (1, 2, 3, 4):
         for p in all_raw_prefixes(n):
-            packed = _moves(_pack(p.sigma, _bits_of(p.b), n), n)
+            packed = _moves(_pack(p.sigma, _bits_of(p.bits), n), n)
             unpacked = {Prefix(*_unpack(state, n), p.names) for state in packed}
             expected = successors(p)
             assert len(packed) == len(unpacked) == len(expected)

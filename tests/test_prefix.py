@@ -1,5 +1,9 @@
+import copy
+import pickle
 import random
 import re
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,6 +112,8 @@ def test_prefix_constructor_validates():
         make_prefix([0, 1], [1, 1, 0])  # length mismatch
     with pytest.raises(ValueError):
         Prefix((0, 1), (1, 2), ("x1", "x2"))  # not a quantifier bit
+    with pytest.raises(ValueError):
+        Prefix((0, 1), b"\x01\x02", ("x1", "x2"))  # not a quantifier byte
     with pytest.raises(EmptyPrefixError):
         make_prefix([], [])
 
@@ -116,6 +122,44 @@ def test_prefix_boxes_int_bits_to_quantifier_singletons():
     p = Prefix((1, 0), (0, 1), ("x1", "x2"))
     assert p.b[0] is Quantifier.EXISTS and p.b[1] is Quantifier.FORALL
     assert p == Prefix((1, 0), (Quantifier.EXISTS, Quantifier.FORALL), ("x1", "x2"))
+
+
+def test_prefix_value_semantics():
+    parsed = parse_prefix("E x2 ∀ x1")
+    packed = b"\x00\x01"
+    built = [
+        Prefix((1, 0), (E, A), ("x1", "x2")),
+        Prefix((1, 0), (0, 1), ("x1", "x2")),
+        Prefix((1, 0), packed, ("x1", "x2")),
+    ]
+    assert built[-1].bits is packed  # stored as it is
+    for p in built:
+        assert p == parsed and hash(p) == hash(parsed)
+    assert len({parsed, *built}) == 1
+    assert parsed != Prefix((1, 0), (E, E), ("x1", "x2"))
+    # the dataclass repr of the tuple-field layout, character for character
+    expected_repr = (
+        "Prefix(sigma=(1, 0), b=(<Quantifier.EXISTS: 0>, <Quantifier.FORALL: 1>),"
+        " names=('x1', 'x2'))"
+    )
+    assert [repr(p) for p in (parsed, *built)] == [expected_repr] * 4
+    assert repr(canonicalize(parsed)) == f"CanonicalClass(rep={expected_repr})"
+    # round trips, both before and after the tuple view is built
+    for p in (parse_prefix("E x2 A x1"), parsed):
+        copies = [pickle.loads(pickle.dumps(p, proto)) for proto in range(6)]
+        for again in (*copies, copy.deepcopy(p), copy.copy(p)):
+            assert again == p and hash(again) == hash(p)
+            assert again.bits == packed and again.b == (E, A)
+        assert weakref.ref(p)() is p
+    for field in ("sigma", "b", "bits", "names"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(parsed, field, getattr(parsed, field))
+        with pytest.raises(FrozenInstanceError):
+            delattr(parsed, field)
+    for p in (parsed, *built):
+        assert type(p.b) is tuple and p.b == (E, A)
+        assert p.b[0] is Quantifier.EXISTS and p.b[1] is Quantifier.FORALL
+        assert p.b is p.b  # built once
 
 
 # --- parse parity with the per-pair reference parser ------------------------
@@ -226,6 +270,7 @@ def _assert_fully_valid(p):
     quantifiers are the enum members themselves, not equal ints."""
     assert p == Prefix(p.sigma, p.b, p.names)
     assert all(q is A or q is E for q in p.b)
+    assert type(p.bits) is bytes and p.bits == bytes(p.b)
 
 
 @given(prefix_texts())
