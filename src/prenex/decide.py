@@ -273,7 +273,7 @@ def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
             q1 == Quantifier.FORALL
             and q2 == Quantifier.FORALL
             and w.blocking_f is not None
-            and w.blocking_f > j
+            and j < w.blocking_f < s1.n
             and s1.bits[w.blocking_f] == Quantifier.EXISTS
         )
     return False

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 import random
 import string
-from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
@@ -368,9 +367,5 @@ def random_prefix(
         names = default_names(n)
     sigma = list(range(n))
     rng.shuffle(sigma)
-    if n > 256:
-        # Rebox the shuffled values so the int objects lie in slot order;
-        # sequential consumers then avoid shuffle-order cache misses.
-        sigma = array("q", sigma).tolist()
     bits = bytes(rng.getrandbits(1) for _ in range(n))
     return Prefix(tuple(sigma), bits, names)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from prenex import (
     LengthMismatchError,
     Quantifier,
     VariableSetMismatchError,
+    Verdict,
     decide_with_stats,
     default_names,
     equivalent,
@@ -60,6 +62,22 @@ def test_rejects_blocked_universal_with_case4_witness():
     assert s2.names[w.variable] == "x2"
     assert w.blocking_f == 2
     assert validate_witness(s1, s2, verdict)
+
+
+def test_validate_witness_rejects_forged_witnesses():
+    s1, s2 = parse_prefix_pair("A x1 A x2 E x3 A x4", "A x1 A x4 E x3 A x2")
+    w = implies(s1, s2).witness  # case 4: x2 at s1 position 1, blocked by 2
+    forged = [
+        Verdict(True, w),
+        Verdict(False, replace(w, s2_position=2)),
+        Verdict(False, replace(w, case_id=5, blocking_f=None)),
+        Verdict(False, replace(w, blocking_f=1)),  # j itself
+        Verdict(False, replace(w, blocking_f=3)),  # a universal
+        Verdict(False, replace(w, blocking_f=s1.n)),
+        Verdict(False, replace(w, blocking_f=10 * s1.n)),
+    ]
+    for verdict in forged:
+        assert validate_witness(s1, s2, verdict) is False, verdict
 
 
 def test_reflexive_on_itself():
