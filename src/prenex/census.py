@@ -106,6 +106,7 @@ def enumerate_classes(
         parts = tuple(len(tuple(run)) for _, run in groupby(b))
         mult = prod(map(factorial, parts))
         for sigma in _distributions(pool, parts):
+            # A shared Quantifier tuple, not bytes: reading rep.b then builds nothing.
             out.append((CanonicalClass(Prefix(sigma, b, names)), mult))
     out.sort(key=lambda item: item[0].text)
     return out
@@ -190,7 +191,7 @@ def count_pairs(n: int, cap: int = PAIR_CAP) -> CensusReport:
         # The decider's setup depends on the lhs alone: build it once per row.
         pos, f = _position_table(sigma1), _f_start(b1)
         for (sigma2, b2), m2 in zip(reps, mult):
-            if _scan(pos, b1, sigma2, b2, f)[0]:
+            if _scan(pos, b1, sigma2, b2, f)[0] == 0:
                 true_pairs += m1 * m2
     return _report(n, g, true_pairs)
 

@@ -8,6 +8,7 @@ diagnostics to stderr, never interleaved.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import json
@@ -67,9 +68,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     # Bytes in, so that a line of invalid UTF-8 fails as its own record.
-    stream = sys.stdin.buffer if args.path == "-" else open(args.path, "rb")
+    if args.path == "-":
+        source = contextlib.nullcontext(sys.stdin.buffer)
+    else:
+        source = open(args.path, "rb")
     all_ok = True
-    try:
+    with source as stream:
         for line in stream:
             try:
                 record = json.loads(line.decode("utf-8"))
@@ -84,9 +88,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             except (ValueError, RecursionError, KeyError, TypeError, PrefixError) as exc:
                 print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
                 all_ok = False
-    finally:
-        if args.path != "-":
-            stream.close()
     return 0 if all_ok else 1
 
 
@@ -286,9 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PrefixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PrefixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,9 @@ Every stage reads the quantifiers as ``Prefix.bits``, one byte per position
 start (s1's last existential), then ``_scan``, a backward loop over s2 with
 a verified bitmap and an F pointer that rescans downward only from its
 previous value, so the whole decision is O(n).  It decides every pair below
-``_SCATTER_THRESHOLD`` variables.
+``_SCATTER_THRESHOLD`` variables.  Its result, ``(case_id, i, f)``, is what
+every stage returns, and ``decide_with_stats`` alone turns it into a
+``Verdict`` and ``DecideStats``.
 
 From that size up a decision has two stages, each returning exactly the
 tuple ``_core`` returns:
@@ -105,18 +107,17 @@ def _scan(
     sigma2: Sequence[int],
     b2: bytes,
     f: int,
-) -> tuple[bool, int, int, int, int, int]:
+) -> tuple[int, int, int]:
     """The backward scan, given s1's position table and F's first value."""
-    f_initial = f
     verified = bytearray(len(pos))
     i = len(sigma2) - 1
     while i >= 0:
         j = pos[sigma2[i]]
         if b2[i]:
             if not b1[j]:
-                return False, 5, i, f, f_initial, f
+                return 5, i, f
             if f > j:
-                return False, 4, i, f, f_initial, f
+                return 4, i, f
         verified[j] = 1
         if j == f:
             # Monotone rescan: resume at the previous F, skip verified and
@@ -125,7 +126,7 @@ def _scan(
             while f >= 0 and (b1[f] or verified[f]):
                 f -= 1
         i -= 1
-    return True, 0, -1, -1, f_initial, f
+    return 0, -1, f
 
 
 def _core(
@@ -133,10 +134,11 @@ def _core(
     b1: bytes,
     sigma2: Sequence[int],
     b2: bytes,
-) -> tuple[bool, int, int, int, int, int]:
+) -> tuple[int, int, int]:
     """Run the decision loop on integer-encoded inputs.
 
-    Returns (accepted, case_id, reject_i, blocking_f, f_initial, f_final).
+    Returns (case_id, i, f): case_id 0 accepts, with i = -1; 4 or 5 rejects
+    at loop index i.  f is F's value at the end, -1 after an accept.
     ``b1``/``b2`` hold one byte per position, 0 (existential) or 1 (universal).
     """
     return _scan(_position_table(sigma1), b1, sigma2, b2, _f_start(b1))
@@ -147,18 +149,18 @@ def _probe(
     b1: bytes,
     sigma2: Sequence[int],
     b2: bytes,
-) -> tuple[bool, int, int, int, int, int] | None:
+) -> tuple[int, int, int] | None:
     """``_core``'s result if the scan rejects at its first step, else None.
 
-    One streaming lookup replaces the position table.  Only a reject needs
-    F's value; whether F lies behind the variable is a search of s1's tail.
+    One streaming lookup replaces the position table; at the first step F
+    still has its start value.
     """
     i = len(sigma2) - 1
     if b2[i]:
         j = sigma1.index(sigma2[i])
-        if not b1[j] or 0 in b1[j + 1 :]:
-            f = _f_start(b1)
-            return False, 4 if b1[j] else 5, i, f, f, f
+        f = _f_start(b1)
+        if not b1[j] or f > j:
+            return 4 if b1[j] else 5, i, f
     return None
 
 
@@ -167,7 +169,7 @@ def _kernel(
     b1: bytes,
     sigma2: Sequence[int],
     b2: bytes,
-) -> tuple[bool, int, int, int, int, int]:
+) -> tuple[int, int, int]:
     """``_core``'s result from whole-array numpy passes instead of the loop."""
     # Imported here, not at the top: numpy dominates `import prenex`, and
     # nothing but this kernel uses it.
@@ -180,13 +182,11 @@ def _kernel(
     univ = np.frombuffer(b1, np.bool_)[j]
     f = np.maximum.accumulate(np.where(univ, -1, j))  # F before each step
     bad = np.frombuffer(b2, np.bool_) & (~univ | (f > j))
-    f_initial = int(f[-1])
     rejects = np.flatnonzero(bad)
     if not rejects.size:
-        return True, 0, -1, -1, f_initial, -1
+        return 0, -1, -1
     i = int(rejects[-1])
-    blocking = int(f[i])
-    return False, 4 if univ[i] else 5, i, blocking, f_initial, blocking
+    return 4 if univ[i] else 5, i, int(f[i])
 
 
 def _decide(
@@ -194,7 +194,7 @@ def _decide(
     b1: bytes,
     sigma2: Sequence[int],
     b2: bytes,
-) -> tuple[bool, int, int, int, int, int]:
+) -> tuple[int, int, int]:
     """``_core``'s result, from the stage that decides fastest at this size."""
     if len(sigma1) < _SCATTER_THRESHOLD:
         return _core(sigma1, b1, sigma2, b2)
@@ -205,20 +205,15 @@ def decide_with_stats(s1: Prefix, s2: Prefix) -> tuple[Verdict, DecideStats]:
     """Like :func:`implies`, also reporting instrumented operation counts."""
     ensure_same_universe(s1, s2)
     n = s1.n
-    accepted, case_id, i, blocking_f, f_initial, f_final = _decide(
-        s1.sigma, s1.bits, s2.sigma, s2.bits
-    )
+    case_id, i, f = _decide(s1.sigma, s1.bits, s2.sigma, s2.bits)
     stats = DecideStats(
         n=n,
-        loop_steps=n if accepted else n - i,
-        rescan_steps=f_initial - f_final,
+        loop_steps=n - i if case_id else n,
+        rescan_steps=_f_start(s1.bits) - f,
     )
-    if accepted:
+    if case_id == 0:
         return Verdict(True), stats
-    if case_id == 5:
-        witness = RejectWitness(5, i, s2.sigma[i])
-    else:
-        witness = RejectWitness(4, i, s2.sigma[i], blocking_f=blocking_f)
+    witness = RejectWitness(case_id, i, s2.sigma[i], f if case_id == 4 else None)
     return Verdict(False, witness), stats
 
 
@@ -244,7 +239,7 @@ def raw_implies(
     ``b1``/``b2`` may be 0/1 ``bytes``, used as they are, or any sequence
     of 0/1 ints or Quantifier members.
     """
-    return _decide(sigma1, bytes(b1), sigma2, bytes(b2))[0]
+    return _decide(sigma1, bytes(b1), sigma2, bytes(b2))[0] == 0
 
 
 def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:

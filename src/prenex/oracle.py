@@ -27,7 +27,6 @@ from .errors import InstanceTooLargeError
 from .prefix import (
     CanonicalClass,
     Prefix,
-    Quantifier,
     ensure_same_universe,
     equivalent,
     runs,
@@ -65,14 +64,12 @@ class Move:
 
 def applicable_moves(p: Prefix) -> list[Move]:
     """All moves that apply to ``p``, in a fixed deterministic order."""
-    b = p.b
-    out = [
-        Move(MoveKind.FLIP, i) for i, q in enumerate(b) if q is Quantifier.FORALL
-    ]
+    bits = p.bits
+    out = [Move(MoveKind.FLIP, i) for i, q in enumerate(bits) if q]
     for i in range(p.n - 1):
-        if b[i] is b[i + 1]:
+        if bits[i] == bits[i + 1]:
             out.append(Move(MoveKind.SWAP_SAME, i))
-        elif b[i] is Quantifier.EXISTS:
+        elif not bits[i]:
             out.append(Move(MoveKind.SWAP_EA, i))
     return out
 
@@ -81,21 +78,21 @@ def apply_move(p: Prefix, move: Move) -> Prefix:
     """Apply one move; variables travel with their quantifiers on swaps."""
     i = move.position
     sigma = list(p.sigma)
-    b = list(p.b)
+    bits = list(p.bits)
     if move.kind is MoveKind.FLIP:
-        if b[i] is not Quantifier.FORALL:
+        if not bits[i]:
             raise ValueError(f"flip needs a universal at position {i}")
-        b[i] = Quantifier.EXISTS
+        bits[i] = 0
     elif move.kind is MoveKind.SWAP_SAME:
-        if b[i] is not b[i + 1]:
+        if bits[i] != bits[i + 1]:
             raise ValueError(f"same-run swap needs equal quantifiers at {i},{i + 1}")
         sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
     else:
-        if b[i] is not Quantifier.EXISTS or b[i + 1] is not Quantifier.FORALL:
+        if bits[i] or not bits[i + 1]:
             raise ValueError(f"exists-forall swap does not apply at {i},{i + 1}")
         sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-        b[i], b[i + 1] = b[i + 1], b[i]
-    return Prefix(tuple(sigma), tuple(b), p.names)
+        bits[i], bits[i + 1] = 1, 0
+    return Prefix(tuple(sigma), bytes(bits), p.names)
 
 
 def successors(p: Prefix) -> set[Prefix]:

@@ -17,6 +17,7 @@ from prenex import (
     parse_prefix,
     parse_prefix_pair,
     random_prefix,
+    successors,
     validate_witness,
 )
 from prenex.decide import _SCATTER_THRESHOLD, _core, _decide, _kernel, _probe
@@ -203,15 +204,18 @@ def test_decider_not_fooled_by_uncanonical_input():
 @pytest.mark.parametrize("n", [5, _SCATTER_THRESHOLD])
 def test_decisions_never_build_the_tuple_view(n):
     # the reference loop, the probe (first-step reject) and the kernel
-    # (accept) read the packed bytes; oracle_implies reads them too
+    # (accept) read the packed bytes; oracle_implies and the move API
+    # read them too, and successors are built from bytes
     texts = [" ".join(f"{q} {name}" for name in default_names(n)) for q in "EA"]
     for lhs, rhs in ((texts[0], texts[1]), (texts[1], texts[1])):
         s1, s2 = parse_prefix_pair(lhs, rhs)
         decide_with_stats(s1, s2)
         if n <= 5:
             oracle_implies(s1, s2)
+        built = successors(s1) | successors(s2)
         # ``_view`` is the slot that holds ``b`` once it is built
-        assert not hasattr(s1, "_view") and not hasattr(s2, "_view")
+        for p in (s1, s2, *built):
+            assert not hasattr(p, "_view")
     s1.b
     assert hasattr(s1, "_view")
 
@@ -251,7 +255,7 @@ def assert_stages_match_core(sigma1, b1, sigma2, b2):
     when the scan rejects at its first step, and None otherwise."""
     expected = _core(sigma1, b1, sigma2, b2)
     assert _kernel(sigma1, b1, sigma2, b2) == expected
-    first_step_reject = expected[2] == len(sigma2) - 1
+    first_step_reject = expected[1] == len(sigma2) - 1
     assert _probe(sigma1, b1, sigma2, b2) == (expected if first_step_reject else None)
     return expected
 
@@ -343,29 +347,31 @@ def test_kernel_matches_core_on_large_pairs(n):
     s1 = random_prefix(n, rng)
     moved = move_derived(rng, s1)
     for pair in ((s1, moved), burst_pair(rng, n)):
-        assert assert_stages_match_core(*raw(*pair))[0]
+        assert assert_stages_match_core(*raw(*pair)) == (0, -1, -1)
     for case_id in (5, 4):
         s2, i = planted_reject(s1, moved, case_id)
         result = assert_stages_match_core(*raw(s1, s2))
-        assert result[:3] == (False, case_id, i)
+        assert result[:2] == (case_id, i)
 
 
 @pytest.mark.parametrize("n", [_SCATTER_THRESHOLD - 1, _SCATTER_THRESHOLD])
 def test_dispatch_matches_core_at_the_threshold(n):
     rng = random.Random(109 + n)
     names = default_names(n)
-    for _ in range(50):
+    for k in range(52):
         s1 = random_prefix(n, rng, names)
+        if k >= 50:  # all-universal (F starts at -1), then all-existential
+            s1 = make_prefix(s1.sigma, [int(k == 50)] * n, names)
         for s2 in (random_prefix(n, rng, names), move_derived(rng, s1), s1):
             expected = _core(*raw(s1, s2))
             assert _decide(*raw(s1, s2)) == expected
-            accepted, case_id, i, blocking_f, f_initial, f_final = expected
+            case_id, i, f = expected
             verdict, stats = decide_with_stats(s1, s2)
             assert implies(s1, s2) == verdict
-            assert verdict.accepted == accepted
-            assert stats.rescan_steps == f_initial - f_final
-            assert stats.loop_steps == (n if accepted else n - i)
-            if not accepted:
+            assert verdict.accepted == (case_id == 0)
+            assert stats.rescan_steps == s1.bits.rfind(0) - f
+            assert stats.loop_steps == (n - i if case_id else n)
+            if case_id:
                 w = verdict.witness
                 assert (w.case_id, w.s2_position, w.variable) == (case_id, i, s2.sigma[i])
-                assert w.blocking_f == (blocking_f if case_id == 4 else None)
+                assert w.blocking_f == (f if case_id == 4 else None)
