@@ -36,10 +36,15 @@ __all__ = ["main", "build_parser", "run_bench"]
 
 
 def _verdict_doc(verdict: Verdict) -> dict:
-    return {
-        "verdict": "accept" if verdict.accepted else "reject",
-        "witness": None if verdict.witness is None else asdict(verdict.witness),
-    }
+    w = verdict.witness
+    if w is not None:  # asdict deep-copies, about 20x slower
+        w = {
+            "case_id": w.case_id,
+            "s2_position": w.s2_position,
+            "variable": w.variable,
+            "blocking_f": w.blocking_f,
+        }
+    return {"verdict": "accept" if verdict.accepted else "reject", "witness": w}
 
 
 def _emit(args: argparse.Namespace, doc: dict, lines: list[str], code: int = 0) -> int:

@@ -77,6 +77,8 @@ def applicable_moves(p: Prefix) -> list[Move]:
 def apply_move(p: Prefix, move: Move) -> Prefix:
     """Apply one move; variables travel with their quantifiers on swaps."""
     i = move.position
+    if not 0 <= i < p.n - (move.kind is not MoveKind.FLIP):
+        raise ValueError(f"{move.kind.value} position {i} is out of range at n={p.n}")
     sigma = list(p.sigma)
     bits = list(p.bits)
     if move.kind is MoveKind.FLIP:

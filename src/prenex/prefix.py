@@ -59,10 +59,9 @@ class Quantifier(IntEnum):
 _QUANTS = tuple(Quantifier)
 _LETTERS = tuple(q.letter for q in Quantifier)
 
-_QUANT_CHARS = "AE∀∃"
-_QUANT_TOKENS = frozenset(_QUANT_CHARS)
-# ASCII quantifier letters to stored bytes.
-_LETTER_BITS = bytes.maketrans(b"AE", b"\x01\x00")
+_QUANT_TOKENS = frozenset("AE∀∃")
+# ASCII quantifier letters to stored bytes, every other byte to 2.
+_LETTER_BITS = bytes({ord("A"): 1, ord("E"): 0}.get(c, 2) for c in range(256))
 # Name characters to two classes: letters and "_" to "a", digits to "0".
 _NAME_HEADS = (string.ascii_letters + "_").encode()
 _NAME_CLASSES = bytes.maketrans(
@@ -245,22 +244,14 @@ def format_prefix(p: Prefix) -> str:
     return " ".join(f"{_LETTERS[q]} {names[v]}" for q, v in zip(p.bits, p.sigma))
 
 
-def _scan(
-    text: str, known: set[str] | None = None
-) -> tuple[list[str], bytes, set[str]]:
-    """Tokenize one prefix text into its names in order, their quantifier
-    bytes, and the set of its names.
+def _split(text: str) -> tuple[list[str], list[str]]:
+    """Split one prefix text into its quantifier tokens and its names.
 
     Grammar (whitespace-separated tokens)::
 
         prefix := (quant ident)+
         quant  := "A" | "E" | "∀" | "∃"
         ident  := [A-Za-z_][A-Za-z0-9_]*
-
-    Each rule is checked once over the whole token list; only a text that
-    breaks one is walked pair by pair, to report its first fault.  A name set
-    equal to ``known`` (names already checked) needs no identifier check, and
-    ``known`` itself is returned for it, so the caller can compare by identity.
     """
     tokens = text.split()
     if not tokens:
@@ -269,23 +260,32 @@ def _scan(
         raise PrefixSyntaxError(
             f"dangling token {tokens[-1]!r}: expected quantifier-name pairs"
         )
-    quants = tokens[::2]
-    order = tokens[1::2]
-    # Tokens are nonempty, so equal lengths mean one character per token.
-    letters = "".join(quants)
-    name_set = set(order)
-    if name_set == known:
-        name_set = known
-    if not (
-        len(letters) == len(quants)
-        and not letters.strip(_QUANT_CHARS)
-        and (name_set is known or _valid_names(" ".join(order)))
-        and len(name_set) == len(order)
-    ):
+    return tokens[::2], tokens[1::2]
+
+
+def _quant_bits(quants: list[str]) -> bytes | None:
+    """The quantifier tokens as stored bytes, or None if one is not a quantifier."""
+    letters = "".join(quants).replace("∀", "A").replace("∃", "E")
+    bits = letters.encode(errors="replace").translate(_LETTER_BITS)
+    # Tokens are nonempty, so equal lengths mean one ASCII character per token.
+    return bits if len(bits) == len(quants) and 2 not in bits else None
+
+
+def _universe(text: str) -> tuple[Prefix, dict[str, int]]:
+    """Parse one text into its prefix and the index map of its sorted names.
+
+    The map doubles as the duplicate check, and one identifier check covers
+    all the names; only a text that fails a check is walked pair by pair, to
+    report its first fault.
+    """
+    quants, order = _split(text)
+    bits = _quant_bits(quants)
+    # Sorting the text order is linear on texts already in order.
+    names = sorted(order)
+    index = dict(zip(names, range(len(names))))
+    if bits is None or len(index) != len(names) or not _valid_names(" ".join(names)):
         _raise_first_fault(quants, order)
-    if not letters.isascii():
-        letters = letters.replace("∀", "A").replace("∃", "E")
-    return order, letters.encode().translate(_LETTER_BITS), name_set
+    return _trusted(tuple(map(index.__getitem__, order)), bits, tuple(names)), index
 
 
 def _raise_first_fault(quants: list[str], order: list[str]) -> None:
@@ -302,9 +302,9 @@ def _raise_first_fault(quants: list[str], order: list[str]) -> None:
 
 
 def _trusted(sigma: tuple[int, ...], bits: bytes, names: tuple[str, ...]) -> Prefix:
-    """A Prefix built without ``__init__``, for fields that ``_scan`` and
-    ``_build`` have proved valid: n >= 1, distinct valid names, ``bits`` of
-    0/1 bytes, and ``sigma`` a permutation of ``0..n-1``."""
+    """A Prefix built without ``__init__``, for fields that the parser has
+    proved valid: n >= 1, distinct valid names, ``bits`` of 0/1 bytes, and
+    ``sigma`` a permutation of ``0..n-1``."""
     p = object.__new__(Prefix)
     object.__setattr__(p, "sigma", sigma)
     object.__setattr__(p, "bits", bits)
@@ -312,21 +312,9 @@ def _trusted(sigma: tuple[int, ...], bits: bytes, names: tuple[str, ...]) -> Pre
     return p
 
 
-def _build(
-    names: tuple[str, ...], *sides: tuple[list[str], bytes]
-) -> tuple[Prefix, ...]:
-    """One prefix per (text order, quantifier bytes) side, all indexed by
-    ``names``, the sorted name tuple that every side's order is a permutation of."""
-    index = dict(zip(names, range(len(names)))).__getitem__
-    return tuple(
-        _trusted(tuple(map(index, order)), bits, names) for order, bits in sides
-    )
-
-
 def parse_prefix(text: str) -> Prefix:
     """Parse a single prefix; indices follow ascending lexicographic name order."""
-    order, bits, _ = _scan(text)
-    return _build(tuple(sorted(order)), (order, bits))[0]
+    return _universe(text)[0]
 
 
 def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
@@ -334,19 +322,24 @@ def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
 
     Both texts must quantify exactly the same name set; indices 0..n-1 are
     assigned by ascending lexicographic byte order of the names and shared
-    between the two results.
+    between the two results.  The right text is read through the left one's
+    index map: an unknown name, a repeat or a missing name sends it to the
+    fault walk, and a set mismatch is reported only if that finds no fault.
     """
-    lhs_order, lhs_b, lhs_names = _scan(lhs_text)
-    rhs_order, rhs_b, rhs_names = _scan(rhs_text, lhs_names)
-    if rhs_names is not lhs_names:
-        only_l = sorted(lhs_names - rhs_names)
-        only_r = sorted(rhs_names - lhs_names)
+    s1, index = _universe(lhs_text)
+    quants, order = _split(rhs_text)
+    bits = _quant_bits(quants)
+    try:
+        sigma = tuple(map(index.__getitem__, order))
+    except KeyError:
+        sigma = ()
+    if bits is None or len(sigma) != s1.n or len(set(sigma)) != s1.n:
+        _raise_first_fault(quants, order)
         raise VariableSetMismatchError(
-            f"variable sets differ (lhs only: {only_l}, rhs only: {only_r})"
+            f"variable sets differ (lhs only: {sorted(index.keys() - order)}, "
+            f"rhs only: {sorted(set(order) - index.keys())})"
         )
-    # Sorting the text order, not the set's, is linear on texts already in order.
-    names = tuple(sorted(lhs_order))
-    return _build(names, (lhs_order, lhs_b), (rhs_order, rhs_b))
+    return s1, _trusted(sigma, bits, s1.names)
 
 
 def default_names(n: int) -> tuple[str, ...]:

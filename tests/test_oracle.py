@@ -60,6 +60,25 @@ def test_moves_respect_their_guards():
         apply_move(flipped, Move(MoveKind.SWAP_EA, 0))
 
 
+@pytest.mark.parametrize(
+    "kind, position",
+    [
+        (MoveKind.SWAP_SAME, -1),
+        (MoveKind.SWAP_EA, -1),
+        (MoveKind.FLIP, -1),
+        (MoveKind.SWAP_SAME, 2),
+        (MoveKind.SWAP_EA, 2),
+        (MoveKind.FLIP, 3),
+    ],
+)
+def test_moves_outside_their_range_raise(kind, position):
+    # Without the range check -1 indexes from the end: a same-run swap there
+    # gives "A x3 E x2 A x1", which the input does not imply.
+    p = parse_prefix("A x1 E x2 A x3")
+    with pytest.raises(ValueError, match="out of range"):
+        apply_move(p, Move(kind, position))
+
+
 def test_variables_travel_with_quantifiers_on_swap():
     p = parse_prefix("E x2 A x1")
     swapped = apply_move(p, Move(MoveKind.SWAP_EA, 0))

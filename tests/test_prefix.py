@@ -237,10 +237,13 @@ def test_parse_matches_reference_parser(text):
     assert got == _outcome(_ref_parse, text)
 
 
+def _pair_fields(lhs, rhs):
+    return tuple(map(_fields, parse_prefix_pair(lhs, rhs)))
+
+
 @given(prefix_text_pairs())
 def test_parse_pair_matches_reference_parser(texts):
-    got = _outcome(lambda l, r: tuple(map(_fields, parse_prefix_pair(l, r))), *texts)
-    assert got == _outcome(_ref_parse_pair, *texts)
+    assert _outcome(_pair_fields, *texts) == _outcome(_ref_parse_pair, *texts)
 
 
 
@@ -260,6 +263,69 @@ def test_rhs_fault_outranks_set_mismatch(lhs, rhs, error):
     got = _outcome(parse_prefix_pair, lhs, rhs)
     assert got[0] is error
     assert got == _outcome(_ref_parse_pair, lhs, rhs)
+
+
+# Right-side faults, each against the left text "A x1 E y".
+_RHS_FAULTS = [
+    "A x1 B y",  # bad quantifier
+    "B x1 E y",  # bad quantifier, before the left side's fault position
+    "A x1 E 1x",  # invalid name
+    "A x1 E x1",  # duplicate
+    "A x1 E z",  # set mismatch
+    "A x1",  # set mismatch, one name fewer
+    "A x1 E",  # dangling token
+    "",  # empty
+]
+
+
+@pytest.mark.parametrize("rhs", _RHS_FAULTS)
+@pytest.mark.parametrize(
+    "lhs, error",
+    [
+        ("A x1 B y", PrefixSyntaxError),
+        ("A x1 E 1x", PrefixSyntaxError),
+        ("A x1 E x1", DuplicateVariableError),
+        ("A x1 E", PrefixSyntaxError),
+        ("", EmptyPrefixError),
+    ],
+)
+def test_lhs_fault_outranks_every_rhs_fault(lhs, error, rhs):
+    got = _outcome(parse_prefix_pair, lhs, rhs)
+    assert got == _outcome(parse_prefix, lhs)
+    assert got[0] is error
+    assert got == _outcome(_ref_parse_pair, lhs, rhs)
+
+
+@pytest.mark.parametrize("n", [300, 3000])
+def test_large_pairs_match_reference_parser(n):
+    """Sizes the hypothesis strategies never draw, names in random order: a
+    permutation, then one right side with each kind of fault."""
+    rng = random.Random(n)
+    names = [f"v{k}" for k in rng.sample(range(10**6), n)]
+    permutation, repeat, unknown, fewer, invalid = (
+        rng.sample(names, n) for _ in range(5)
+    )
+    repeat[-1] = repeat[0]  # repeats one name and drops another, same length
+    unknown[n // 2] = "zz_unknown"
+    invalid[n // 3] = "9bad"
+    cases = [
+        (permutation, None),
+        (repeat, DuplicateVariableError),
+        (unknown, VariableSetMismatchError),
+        (fewer[1:], VariableSetMismatchError),
+        (invalid, PrefixSyntaxError),
+    ]
+
+    def text(order):
+        return " ".join(f"{rng.choice('AE∀∃')} {name}" for name in order)
+
+    lhs = text(names)
+    assert _fields(parse_prefix(lhs)) == _ref_parse(lhs)
+    for order, error in cases:
+        rhs = text(order)
+        got = _outcome(_pair_fields, lhs, rhs)
+        assert got == _outcome(_ref_parse_pair, lhs, rhs)
+        assert (got[0] if isinstance(got[0], type) else None) is error
 
 
 # --- parser-built prefixes satisfy the constructor's invariants -------------
