@@ -19,17 +19,14 @@ previous value, so the whole decision is O(n).  It decides every pair below
 every stage returns, and ``decide_with_stats`` alone turns it into a
 ``Verdict`` and ``DecideStats``.
 
-From that size up a decision has two stages, each returning exactly the
-tuple ``_core`` returns:
-
-* ``_probe`` runs the first scan step with one ``sigma1.index`` lookup, with
-  no table.  It decides first-step rejects in streaming time and never
-  loads numpy.
-* ``_kernel`` decides any other pair in a few numpy passes.  F before step i
-  is the largest existential position of s1 whose variable sits at an s2
-  index <= i, so F over all steps is a prefix maximum; step i rejects when
-  s2 is universal there and s1 is existential (case 5) or F lies behind the
-  variable (case 4), and the scan's first reject is the last such i.
+From that size up, ``_decide`` runs the scan's first step with one
+``sigma1.index`` lookup and no table, so a first-step reject never loads
+numpy.  Any other pair goes to ``_kernel``, which returns ``_core``'s tuple
+from a few numpy passes.  F before step i is the largest existential
+position of s1 whose variable sits at an s2 index <= i, so F over all steps
+is a prefix maximum; step i rejects when s2 is universal there and s1 is
+existential (case 5) or F lies behind the variable (case 4), and the scan's
+first reject is the last such i.
 """
 
 from __future__ import annotations
@@ -80,10 +77,10 @@ class DecideStats:
     rescan_steps: int
 
 
-# Below this size `_core` decides; from it up, `_probe` then `_kernel`.  Per
-# call the kernel already wins from about 128 variables, but its first use
-# imports numpy (over 100 ms), which a process deciding a few pairs under
-# 256 variables never repays.
+# Below this size `_core` decides; from it up, the first-step lookup, then
+# `_kernel`.  Per call the kernel already wins from about 128 variables, but
+# its first use imports numpy (over 100 ms), which a process deciding a few
+# pairs under 256 variables never repays.
 _SCATTER_THRESHOLD = 256
 
 
@@ -144,26 +141,6 @@ def _core(
     return _scan(_position_table(sigma1), b1, sigma2, b2, _f_start(b1))
 
 
-def _probe(
-    sigma1: Sequence[int],
-    b1: bytes,
-    sigma2: Sequence[int],
-    b2: bytes,
-) -> tuple[int, int, int] | None:
-    """``_core``'s result if the scan rejects at its first step, else None.
-
-    One streaming lookup replaces the position table; at the first step F
-    still has its start value.
-    """
-    i = len(sigma2) - 1
-    if b2[i]:
-        j = sigma1.index(sigma2[i])
-        f = _f_start(b1)
-        if not b1[j] or f > j:
-            return 4 if b1[j] else 5, i, f
-    return None
-
-
 def _kernel(
     sigma1: Sequence[int],
     b1: bytes,
@@ -198,7 +175,15 @@ def _decide(
     """``_core``'s result, from the stage that decides fastest at this size."""
     if len(sigma1) < _SCATTER_THRESHOLD:
         return _core(sigma1, b1, sigma2, b2)
-    return _probe(sigma1, b1, sigma2, b2) or _kernel(sigma1, b1, sigma2, b2)
+    # The scan's first step, by one streaming lookup instead of the position
+    # table; F still has its start value there.
+    i = len(sigma2) - 1
+    if b2[i]:
+        j = sigma1.index(sigma2[i])
+        f = _f_start(b1)
+        if not b1[j] or f > j:
+            return 4 if b1[j] else 5, i, f
+    return _kernel(sigma1, b1, sigma2, b2)
 
 
 def decide_with_stats(s1: Prefix, s2: Prefix) -> tuple[Verdict, DecideStats]:
@@ -234,7 +219,8 @@ def raw_implies(
     sigma2: Sequence[int],
     b2: Sequence[int],
 ) -> bool:
-    """Low-level entry for bulk sweeps: integer-encoded inputs, no validation.
+    """``implies(...).accepted`` on integer-encoded inputs, with no ``Prefix``
+    and no validation: the sigmas must be permutations of one ``0..n-1``.
 
     ``b1``/``b2`` may be 0/1 ``bytes``, used as they are, or any sequence
     of 0/1 ints or Quantifier members.
@@ -249,7 +235,9 @@ def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
     the case conditions hold: case 5 needs an existential left quantifier and
     a universal right one; case 4 needs universal quantifiers on both sides
     and an existential position ``blocking_f`` behind the variable in s1.
+    Raises what :func:`implies` raises for a pair over two universes.
     """
+    ensure_same_universe(s1, s2)
     w = verdict.witness
     if verdict.accepted or w is None:
         return False

@@ -220,7 +220,14 @@ def canonicalize(p: Prefix) -> CanonicalClass:
 
 
 def ensure_same_universe(p1: Prefix, p2: Prefix) -> None:
-    """Raise unless both prefixes quantify the same indexed variable universe."""
+    """Raise unless both prefixes quantify the same indexed variable universe.
+
+    The one universe rule of every call on two prefixes: ``implies``, the
+    oracle, ``equivalent`` and ``validate_witness``.  Prefixes that share one
+    ``names`` tuple, as both sides of a parsed pair do, pass without a walk.
+    """
+    if p1.names is p2.names:
+        return
     if p1.n != p2.n:
         raise LengthMismatchError(f"prefix lengths differ: {p1.n} != {p2.n}")
     if p1.names != p2.names:
@@ -230,11 +237,11 @@ def ensure_same_universe(p1: Prefix, p2: Prefix) -> None:
 
 
 def equivalent(p1: Prefix, p2: Prefix) -> bool:
-    """True iff the prefixes are equal up to permutation within each run."""
-    if p1.names != p2.names:
-        raise VariableSetMismatchError(
-            "prefixes must share the same variable-name universe"
-        )
+    """True iff the prefixes are equal up to permutation within each run.
+
+    Raises what :func:`ensure_same_universe` raises for two universes.
+    """
+    ensure_same_universe(p1, p2)
     return canonicalize(p1) == canonicalize(p2)
 
 

@@ -7,6 +7,7 @@ import pytest
 from prenex import (
     LengthMismatchError,
     Quantifier,
+    RejectWitness,
     VariableSetMismatchError,
     Verdict,
     decide_with_stats,
@@ -17,10 +18,11 @@ from prenex import (
     parse_prefix,
     parse_prefix_pair,
     random_prefix,
+    raw_implies,
     successors,
     validate_witness,
 )
-from prenex.decide import _SCATTER_THRESHOLD, _core, _decide, _kernel, _probe
+from prenex.decide import _SCATTER_THRESHOLD, _core, _decide, _kernel
 from support import all_raw_prefixes, all_raw_states, make_prefix, run_python
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
@@ -79,6 +81,14 @@ def test_validate_witness_rejects_forged_witnesses():
     ]
     for verdict in forged:
         assert validate_witness(s1, s2, verdict) is False, verdict
+    # a witness that fits both sides certifies nothing over two universes:
+    # the checker raises what implies raises
+    s1 = make_prefix([0], [0], names=("x1",))
+    s2 = make_prefix([0], [1], names=("y1",))
+    verdict = Verdict(False, RejectWitness(5, 0, 0))
+    for call in (implies, lambda s1, s2: validate_witness(s1, s2, verdict)):
+        with pytest.raises(VariableSetMismatchError):
+            call(s1, s2)
 
 
 def test_reflexive_on_itself():
@@ -203,7 +213,7 @@ def test_decider_not_fooled_by_uncanonical_input():
 
 @pytest.mark.parametrize("n", [5, _SCATTER_THRESHOLD])
 def test_decisions_never_build_the_tuple_view(n):
-    # the reference loop, the probe (first-step reject) and the kernel
+    # the reference loop, the first-step lookup (a reject) and the kernel
     # (accept) read the packed bytes; oracle_implies and the move API
     # read them too, and successors are built from bytes
     texts = [" ".join(f"{q} {name}" for name in default_names(n)) for q in "EA"]
@@ -242,7 +252,7 @@ def test_numpy_loads_only_for_large_decisions():
     assert proc.stdout.split() == ["False", "False", "True"]
 
 
-# --- the probe and the vector kernel against the reference loop --------------
+# --- the dispatch and the vector kernel against the reference loop -----------
 
 
 def raw(s1, s2):
@@ -251,12 +261,28 @@ def raw(s1, s2):
 
 
 def assert_stages_match_core(sigma1, b1, sigma2, b2):
-    """The kernel returns ``_core``'s tuple; the probe returns it exactly
-    when the scan rejects at its first step, and None otherwise."""
+    """The kernel, a pure vector pass, and the dispatch, which tries the
+    first scan step before it at large n, both return ``_core``'s tuple."""
     expected = _core(sigma1, b1, sigma2, b2)
     assert _kernel(sigma1, b1, sigma2, b2) == expected
-    first_step_reject = expected[1] == len(sigma2) - 1
-    assert _probe(sigma1, b1, sigma2, b2) == (expected if first_step_reject else None)
+    assert _decide(sigma1, b1, sigma2, b2) == expected
+    return expected
+
+
+def assert_verdict_matches_core(s1, s2):
+    """``decide_with_stats`` and ``implies`` report ``_core``'s tuple on every
+    field: the witness, ``loop_steps`` and ``rescan_steps``."""
+    expected = assert_stages_match_core(*raw(s1, s2))
+    case_id, i, f = expected
+    verdict, stats = decide_with_stats(s1, s2)
+    assert implies(s1, s2) == verdict
+    assert verdict.accepted == (case_id == 0)
+    assert stats.rescan_steps == s1.bits.rfind(0) - f
+    assert stats.loop_steps == (s1.n - i if case_id else s1.n)
+    if case_id:
+        w = verdict.witness
+        assert (w.case_id, w.s2_position, w.variable) == (case_id, i, s2.sigma[i])
+        assert w.blocking_f == (f if case_id == 4 else None)
     return expected
 
 
@@ -341,6 +367,21 @@ def planted_reject(s1, s2, case_id):
     return make_prefix(s2.sigma, bits, s2.names), i
 
 
+def first_step_reject(s1, s2, case_id):
+    """s2 with its last position made universal and given the first variable
+    that s1 quantifies existentially (case 5), or universally in front of
+    s1's last existential (case 4), so that the scan rejects at once."""
+    f = s1.bits.rfind(0)
+    j = next(
+        j for j, q in enumerate(s1.bits) if (q and j < f if case_id == 4 else not q)
+    )
+    sigma, bits = list(s2.sigma), [int(q) for q in s2.bits]
+    k = sigma.index(s1.sigma[j])
+    sigma[k], sigma[-1] = sigma[-1], sigma[k]
+    bits[-1] = 1
+    return make_prefix(sigma, bits, s2.names)
+
+
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_kernel_matches_core_on_large_pairs(n):
     rng = random.Random(108 + n)
@@ -352,6 +393,12 @@ def test_kernel_matches_core_on_large_pairs(n):
         s2, i = planted_reject(s1, moved, case_id)
         result = assert_stages_match_core(*raw(s1, s2))
         assert result[:2] == (case_id, i)
+        s2 = first_step_reject(s1, moved, case_id)
+        assert assert_verdict_matches_core(s1, s2)[:2] == (case_id, n - 1)
+    # all-universal s1: F starts at -1, and s1 implies every prefix
+    top = make_prefix(s1.sigma, [1] * n, s1.names)
+    for s2 in (moved, top):
+        assert assert_verdict_matches_core(top, s2) == (0, -1, -1)
 
 
 @pytest.mark.parametrize("n", [_SCATTER_THRESHOLD - 1, _SCATTER_THRESHOLD])
@@ -363,15 +410,29 @@ def test_dispatch_matches_core_at_the_threshold(n):
         if k >= 50:  # all-universal (F starts at -1), then all-existential
             s1 = make_prefix(s1.sigma, [int(k == 50)] * n, names)
         for s2 in (random_prefix(n, rng, names), move_derived(rng, s1), s1):
-            expected = _core(*raw(s1, s2))
-            assert _decide(*raw(s1, s2)) == expected
-            case_id, i, f = expected
-            verdict, stats = decide_with_stats(s1, s2)
-            assert implies(s1, s2) == verdict
-            assert verdict.accepted == (case_id == 0)
-            assert stats.rescan_steps == s1.bits.rfind(0) - f
-            assert stats.loop_steps == (n - i if case_id else n)
-            if case_id:
-                w = verdict.witness
-                assert (w.case_id, w.s2_position, w.variable) == (case_id, i, s2.sigma[i])
-                assert w.blocking_f == (f if case_id == 4 else None)
+            assert_verdict_matches_core(s1, s2)
+
+
+@pytest.mark.parametrize(
+    "n, at_once", [(5, False), (_SCATTER_THRESHOLD, False), (_SCATTER_THRESHOLD, True)]
+)
+def test_raw_implies_agrees_with_implies(n, at_once):
+    # quantifiers as 0/1 bytes, as 0/1 int lists and as Quantifier tuples
+    forms = (bytes, list, lambda bits: tuple(map(Quantifier, bits)))
+    rng = random.Random(110 + n + at_once)
+    names = default_names(n)
+    answers = set()
+    for _ in range(20):
+        s1 = random_prefix(n, rng, names)
+        if at_once:
+            rhs = [first_step_reject(s1, s1, case_id) for case_id in (5, 4)]
+        else:
+            rhs = [random_prefix(n, rng, names), move_derived(rng, s1)]
+        for s2 in rhs:
+            if at_once:
+                assert _core(*raw(s1, s2))[1] == n - 1
+            accepted = implies(s1, s2).accepted
+            answers.add(accepted)
+            for form in forms:
+                assert raw_implies(s1.sigma, form(s1.bits), s2.sigma, form(s2.bits)) is accepted
+    assert answers == ({False} if at_once else {False, True})

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from prenex import (
     DuplicateVariableError,
     EmptyPrefixError,
+    LengthMismatchError,
     Prefix,
     PrefixError,
     PrefixSyntaxError,
@@ -21,6 +22,7 @@ from prenex import (
     default_names,
     equivalent,
     format_prefix,
+    implies,
     parse_prefix,
     parse_prefix_pair,
     random_prefix,
@@ -424,10 +426,15 @@ def test_not_equivalent_across_runs():
 
 
 def test_equivalent_requires_same_universe():
-    p1 = parse_prefix("A x1")
-    p2 = parse_prefix("A y1")
-    with pytest.raises(VariableSetMismatchError):
-        equivalent(p1, p2)
+    # equivalent raises what implies raises: for two name sets, for two lengths
+    for lhs, rhs, error in (
+        ("A x1", "A y1", VariableSetMismatchError),
+        ("A x1", "A x1 E x2", LengthMismatchError),
+    ):
+        p1, p2 = parse_prefix(lhs), parse_prefix(rhs)
+        for call in (equivalent, implies):
+            with pytest.raises(error):
+                call(p1, p2)
 
 
 @given(prefixes(), st.randoms(use_true_random=False))
