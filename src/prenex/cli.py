@@ -20,7 +20,7 @@ from array import array
 from dataclasses import asdict
 
 from .census import CLASS_CAP, PAIR_CAP, build_graph, count_pairs, export_graph
-from .decide import Verdict, decide_with_stats, implies
+from .decide import Verdict, _text_verdict, decide_with_stats, implies
 from .errors import InstanceTooLargeError, PrefixError
 from .oracle import ORACLE_CAP, closure, oracle_implies
 from .prefix import (
@@ -58,12 +58,10 @@ def _emit(args: argparse.Namespace, doc: dict, lines: list[str], code: int = 0) 
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    s1, s2 = parse_prefix_pair(args.lhs, args.rhs)
-    verdict = implies(s1, s2)
+    verdict, name = _text_verdict(args.lhs, args.rhs)
     w = verdict.witness
     line = "accept"
     if w is not None:
-        name = s2.names[w.variable]
         detail = f"case {w.case_id} at position {w.s2_position}: variable {name}"
         if w.blocking_f is not None:
             detail += f", blocked by existential at {w.blocking_f} in lhs"
@@ -85,8 +83,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 lhs, rhs = record["lhs"], record["rhs"]
                 if not isinstance(lhs, str) or not isinstance(rhs, str):
                     raise TypeError("lhs and rhs must be strings")
-                s1, s2 = parse_prefix_pair(lhs, rhs)
-                verdict = implies(s1, s2)
+                verdict, _ = _text_verdict(lhs, rhs)
                 print(json.dumps(_verdict_doc(verdict)))
                 all_ok = all_ok and verdict.accepted
             # ValueError covers bad JSON and bad UTF-8; RecursionError deep nesting.

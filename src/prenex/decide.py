@@ -16,25 +16,43 @@ start (s1's last existential), then ``_scan``, a backward loop over s2 with
 a verified bitmap and an F pointer that rescans downward only from its
 previous value, so the whole decision is O(n).  It decides every pair below
 ``_SCATTER_THRESHOLD`` variables.  Its result, ``(case_id, i, f)``, is what
-every stage returns, and ``decide_with_stats`` alone turns it into a
-``Verdict`` and ``DecideStats``.
+every stage returns; ``decide_with_stats`` turns it into a ``Verdict`` and
+``DecideStats``, and the text path below into a ``Verdict``.
 
 From that size up, ``_decide`` runs the scan's first step with one
 ``sigma1.index`` lookup and no table, so a first-step reject never loads
 numpy.  Any other pair goes to ``_kernel``, which returns ``_core``'s tuple
-from a few numpy passes.  F before step i is the largest existential
+from a few numpy passes over J, the s1 position of each s2 step (built by
+one scatter and one gather).  F before step i is the largest existential
 position of s1 whose variable sits at an s2 index <= i, so F over all steps
 is a prefix maximum; step i rejects when s2 is universal there and s1 is
 existential (case 5) or F lies behind the variable (case 4), and the scan's
 first reject is the last such i.
+
+The CLI's ``check`` and ``batch`` decide from text through
+``_text_verdict``, with no name sort: a dict from each left name to its text
+position is the scan's position table and the right text's names are
+sigma2, the first large-n step is one lookup in that dict, and J is the
+right names read through it.  Positions are all the decision needs; only a
+reject's ``variable`` is a sorted-name index, counted from the left names.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
-from .prefix import Prefix, Quantifier, ensure_same_universe
+from .prefix import (
+    Prefix,
+    Quantifier,
+    _quant_bits,
+    _split,
+    _valid_names,
+    ensure_same_universe,
+    parse_prefix_pair,
+)
 
 __all__ = [
     "Verdict",
@@ -99,13 +117,17 @@ def _f_start(b1: bytes) -> int:
 
 
 def _scan(
-    pos: Sequence[int],
+    pos: Sequence[int] | dict[str, int],
     b1: bytes,
-    sigma2: Sequence[int],
+    sigma2: Sequence[int] | Sequence[str],
     b2: bytes,
     f: int,
 ) -> tuple[int, int, int]:
-    """The backward scan, given s1's position table and F's first value."""
+    """The backward scan, given s1's position table and F's first value.
+
+    ``pos[sigma2[i]]`` is the s1 position of s2's step i: ``pos`` is a list
+    over variable indices, or a dict over names with ``sigma2`` the names.
+    """
     verified = bytearray(len(pos))
     i = len(sigma2) - 1
     while i >= 0:
@@ -141,24 +163,19 @@ def _core(
     return _scan(_position_table(sigma1), b1, sigma2, b2, _f_start(b1))
 
 
-def _kernel(
-    sigma1: Sequence[int],
-    b1: bytes,
-    sigma2: Sequence[int],
-    b2: bytes,
-) -> tuple[int, int, int]:
-    """``_core``'s result from whole-array numpy passes instead of the loop."""
+def _kernel(J, b1: bytes, b2: bytes) -> tuple[int, int, int]:
+    """``_core``'s result from whole-array numpy passes instead of the loop.
+
+    ``J`` is an intp array holding, for each s2 step i, the s1 position of
+    the variable there.
+    """
     # Imported here, not at the top: numpy dominates `import prenex`, and
-    # nothing but this kernel uses it.
+    # nothing but the large-n stages uses it.
     import numpy as np
 
-    n = len(sigma1)
-    pos = np.empty(n, np.intp)
-    pos[np.fromiter(sigma1, np.intp, n)] = np.arange(n)
-    j = pos[np.fromiter(sigma2, np.intp, n)]  # s1 position of each s2 step
-    univ = np.frombuffer(b1, np.bool_)[j]
-    f = np.maximum.accumulate(np.where(univ, -1, j))  # F before each step
-    bad = np.frombuffer(b2, np.bool_) & (~univ | (f > j))
+    univ = np.frombuffer(b1, np.bool_)[J]
+    f = np.maximum.accumulate(np.where(univ, -1, J))  # F before each step
+    bad = np.frombuffer(b2, np.bool_) & (~univ | (f > J))
     rejects = np.flatnonzero(bad)
     if not rejects.size:
         return 0, -1, -1
@@ -173,17 +190,44 @@ def _decide(
     b2: bytes,
 ) -> tuple[int, int, int]:
     """``_core``'s result, from the stage that decides fastest at this size."""
-    if len(sigma1) < _SCATTER_THRESHOLD:
+    n = len(sigma1)
+    if n < _SCATTER_THRESHOLD:
         return _core(sigma1, b1, sigma2, b2)
     # The scan's first step, by one streaming lookup instead of the position
     # table; F still has its start value there.
-    i = len(sigma2) - 1
+    i = n - 1
     if b2[i]:
         j = sigma1.index(sigma2[i])
         f = _f_start(b1)
         if not b1[j] or f > j:
             return 4 if b1[j] else 5, i, f
-    return _kernel(sigma1, b1, sigma2, b2)
+    import numpy as np
+
+    pos = np.empty(n, np.intp)
+    pos[np.fromiter(sigma1, np.intp, n)] = np.arange(n)
+    return _kernel(pos[np.fromiter(sigma2, np.intp, n)], b1, b2)
+
+
+def _decide_text(
+    at: dict[str, int],
+    b1: bytes,
+    names2: list[str],
+    b2: bytes,
+) -> tuple[int, int, int]:
+    """``_decide`` on a pair as read from text: ``at`` maps each left name to
+    its text position, and ``names2`` is the right text's names in order."""
+    n = len(names2)
+    f = _f_start(b1)
+    if n < _SCATTER_THRESHOLD:
+        return _scan(at, b1, names2, b2, f)
+    i = n - 1
+    if b2[i]:
+        j = at[names2[i]]
+        if not b1[j] or f > j:
+            return 4 if b1[j] else 5, i, f
+    import numpy as np
+
+    return _kernel(np.fromiter(map(at.__getitem__, names2), np.intp, n), b1, b2)
 
 
 def decide_with_stats(s1: Prefix, s2: Prefix) -> tuple[Verdict, DecideStats]:
@@ -211,6 +255,40 @@ def implies(s1: Prefix, s2: Prefix) -> Verdict:
     """
     verdict, _ = decide_with_stats(s1, s2)
     return verdict
+
+
+def _text_verdict(lhs_text: str, rhs_text: str) -> tuple[Verdict, str | None]:
+    """``implies(*parse_prefix_pair(lhs_text, rhs_text))``, and the witnessed
+    variable's name, decided in the left text's own order with no name sort.
+
+    One dict indexes the left names by text position, which is all the
+    decision needs, and is also the duplicate check.  Only the witness's
+    ``variable`` is a sorted-name index: it is the count of left names below
+    the witnessed one, O(n) on rejects only.  A pair with any fault goes
+    to ``parse_prefix_pair``, which raises the error that fault earns.
+    """
+    quants, order = _split(lhs_text)
+    b1 = _quant_bits(quants)
+    n = len(order)
+    at = dict(zip(order, range(n)))
+    if b1 is not None and len(at) == n and _valid_names(" ".join(order)):
+        quants, names2 = _split(rhs_text)
+        b2 = _quant_bits(quants)
+        # n right names that hold every left name are a permutation of them
+        if b2 is not None and len(names2) == n and not at.keys() - names2:
+            case_id, i, f = _decide_text(at, b1, names2, b2)
+            if case_id == 0:
+                return Verdict(True), None
+            name = names2[i]
+            rank = sum(map(operator.lt, order, repeat(name)))
+            witness = RejectWitness(case_id, i, rank, f if case_id == 4 else None)
+            return Verdict(False, witness), name
+    # A pair declined above has a fault, and the parser raises the error it
+    # earns; were the two ever to part, the pair would still be decided.
+    s1, s2 = parse_prefix_pair(lhs_text, rhs_text)
+    verdict = implies(s1, s2)
+    w = verdict.witness
+    return verdict, None if w is None else s2.names[w.variable]
 
 
 def raw_implies(

@@ -471,6 +471,58 @@ def test_exact_output_bytes(capsys, argv, code, out):
     assert run(capsys, *argv) == (code, out, "")
 
 
+# Rejects whose left text is not in sorted name order: the text line names
+# the witnessed variable, and the JSON witness gives its index in sorted
+# order, not its text position.  The n = 300 left text holds v299 .. v000.
+_NAMES = [f"v{k:03d}" for k in range(299, -1, -1)]
+_Q4 = "A" * 150 + "E" + "A" * 149
+_MOVED = _NAMES[:100] + [_NAMES[200]] + _NAMES[101:200] + [_NAMES[100]] + _NAMES[201:]
+
+
+def _text(names, quants):
+    return " ".join(f"{q} {name}" for q, name in zip(quants, names))
+
+
+_UNSORTED = [
+    # zeta sits at left text position 0 and sorted index 1
+    (
+        ("E zeta A alpha", "A zeta E alpha"),
+        "reject (case 5 at position 0: variable zeta)\n",
+        '{"verdict": "reject", "witness": {"case_id": 5, "s2_position": 0, '
+        '"variable": 1, "blocking_f": null}}\n',
+    ),
+    # c: left text position 1, sorted index 2
+    (
+        ("A d A c E b A a", "A d A a E b A c"),
+        "reject (case 4 at position 3: variable c, blocked by existential at 2 in lhs)\n",
+        '{"verdict": "reject", "witness": {"case_id": 4, "s2_position": 3, '
+        '"variable": 2, "blocking_f": 2}}\n',
+    ),
+    # the first scan step: v000 is existential at the left text's end
+    (
+        (_text(_NAMES, "A" * 299 + "E"), _text(_NAMES, "A" * 300)),
+        "reject (case 5 at position 299: variable v000)\n",
+        '{"verdict": "reject", "witness": {"case_id": 5, "s2_position": 299, '
+        '"variable": 0, "blocking_f": null}}\n',
+    ),
+    # the kernel: v199, at left position 100, moved behind the existential at 150
+    (
+        (_text(_NAMES, _Q4), _text(_MOVED, _Q4)),
+        "reject (case 4 at position 200: variable v199, "
+        "blocked by existential at 150 in lhs)\n",
+        '{"verdict": "reject", "witness": {"case_id": 4, "s2_position": 200, '
+        '"variable": 199, "blocking_f": 150}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("texts, line, doc", _UNSORTED, ids=["n2", "n4", "n300-first", "n300"])
+def test_check_reject_from_unsorted_left_text(capsys, texts, line, doc):
+    lhs, rhs = texts
+    assert run(capsys, "check", "--lhs", lhs, "--rhs", rhs) == (1, line, "")
+    assert run(capsys, "check", "--lhs", lhs, "--rhs", rhs, "--json") == (1, doc, "")
+
+
 _RANGE_ERROR = "error: n=2 outside the supported range 1..1\n"
 
 

@@ -1,11 +1,16 @@
 import random
+from contextlib import suppress
 from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from prenex import (
     LengthMismatchError,
+    Prefix,
+    PrefixError,
     Quantifier,
     RejectWitness,
     VariableSetMismatchError,
@@ -13,6 +18,7 @@ from prenex import (
     decide_with_stats,
     default_names,
     equivalent,
+    format_prefix,
     implies,
     oracle_implies,
     parse_prefix,
@@ -22,8 +28,21 @@ from prenex import (
     successors,
     validate_witness,
 )
-from prenex.decide import _SCATTER_THRESHOLD, _core, _decide, _kernel
-from support import all_raw_prefixes, all_raw_states, make_prefix, run_python
+from prenex.decide import (
+    _SCATTER_THRESHOLD,
+    _core,
+    _decide,
+    _kernel,
+    _position_table,
+    _text_verdict,
+)
+from support import (
+    all_raw_prefixes,
+    all_raw_states,
+    make_prefix,
+    prefix_text_pairs,
+    run_python,
+)
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
 
@@ -234,7 +253,7 @@ def test_numpy_loads_only_for_large_decisions():
     code = (
         "import sys\n"
         "from prenex import default_names, implies, oracle_implies, parse_prefix_pair\n"
-        "from prenex.decide import _SCATTER_THRESHOLD as T\n"
+        "from prenex.decide import _SCATTER_THRESHOLD as T, _text_verdict\n"
         "def text(q, n):\n"
         "    return ' '.join(q + ' ' + name for name in default_names(n))\n"
         "pair = parse_prefix_pair('E x1 A x2', 'A x2 E x1')\n"
@@ -244,12 +263,15 @@ def test_numpy_loads_only_for_large_decisions():
         "verdict = implies(*parse_prefix_pair(text('E', T), text('A', T)))\n"
         "assert verdict.witness.case_id == 5 and verdict.witness.s2_position == T - 1\n"
         "print('numpy' in sys.modules)\n"
+        "verdict, name = _text_verdict(text('E', T), text('A', T))\n"
+        "assert verdict.witness.case_id == 5 and name == default_names(T)[-1]\n"
+        "print('numpy' in sys.modules)\n"
         "assert implies(*parse_prefix_pair(text('A', T), text('A', T))).accepted\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = run_python("-c", code, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert proc.stdout.split() == ["False", "False", "False", "True"]
 
 
 # --- the dispatch and the vector kernel against the reference loop -----------
@@ -264,7 +286,9 @@ def assert_stages_match_core(sigma1, b1, sigma2, b2):
     """The kernel, a pure vector pass, and the dispatch, which tries the
     first scan step before it at large n, both return ``_core``'s tuple."""
     expected = _core(sigma1, b1, sigma2, b2)
-    assert _kernel(sigma1, b1, sigma2, b2) == expected
+    pos = _position_table(sigma1)
+    J = np.fromiter(map(pos.__getitem__, sigma2), np.intp, len(sigma2))
+    assert _kernel(J, b1, b2) == expected
     assert _decide(sigma1, b1, sigma2, b2) == expected
     return expected
 
@@ -436,3 +460,135 @@ def test_raw_implies_agrees_with_implies(n, at_once):
             for form in forms:
                 assert raw_implies(s1.sigma, form(s1.bits), s2.sigma, form(s2.bits)) is accepted
     assert answers == ({False} if at_once else {False, True})
+
+
+# --- the CLI's text path against parse_prefix_pair + implies -------------------
+
+
+def reference_text_verdict(lhs, rhs):
+    """What ``_text_verdict`` must return: the parsed pair's verdict and the
+    witnessed variable's name."""
+    s1, s2 = parse_prefix_pair(lhs, rhs)
+    verdict = implies(s1, s2)
+    w = verdict.witness
+    return verdict, w and s2.names[w.variable]
+
+
+def text_outcome(decide, lhs, rhs):
+    """``decide(lhs, rhs)``, or the type and message of the error it raises."""
+    try:
+        return decide(lhs, rhs)
+    except PrefixError as exc:
+        return type(exc), str(exc)
+
+
+def assert_text_path_matches(lhs, rhs):
+    """The text path and the parser + ``implies`` agree on every verdict field
+    and the witnessed name, or on the error's type and message."""
+    expected = text_outcome(reference_text_verdict, lhs, rhs)
+    assert text_outcome(_text_verdict, lhs, rhs) == expected
+    return expected
+
+
+def scrambled_names(rng, n):
+    """n distinct names in random order; unpadded, so that their sorted order
+    is neither their numeric nor their text order."""
+    names = [f"v{k}" for k in range(n)]
+    rng.shuffle(names)
+    return tuple(names)
+
+
+def test_text_path_matches_reference_on_every_raw_pair():
+    unsorted = 0  # rejects whose sorted index is not the left text position
+    for n in (1, 2, 3):
+        names = ("v2", "v10", "u")[:n]
+        texts = [format_prefix(Prefix(*state, names)) for state in all_raw_states(n)]
+        for lhs, rhs in product(texts, repeat=2):
+            verdict, name = assert_text_path_matches(lhs, rhs)
+            if name is not None:
+                unsorted += verdict.witness.variable != lhs.split()[1::2].index(name)
+    assert unsorted
+
+
+def decide_family_pairs(rng, n):
+    """s1 over scrambled names with move-derived and burst accepts, mid-scan
+    case-5 and case-4 rejects, first-step case-5 and case-4 rejects, and a
+    random right side; a family that n is too small for is left out."""
+    s1 = random_prefix(n, rng, scrambled_names(rng, n))
+    moved = move_derived(rng, s1)
+    pairs = [(s1, moved), (s1, random_prefix(n, rng, s1.names))]
+    if n >= 8:
+        t1, t2 = burst_pair(rng, n)
+        pairs.append(tuple(make_prefix(p.sigma, p.bits, s1.names) for p in (t1, t2)))
+    for case_id in (5, 4):
+        # StopIteration: no variable fits the case at this n
+        with suppress(StopIteration):
+            pairs.append((s1, planted_reject(s1, moved, case_id)[0]))
+        with suppress(StopIteration):
+            pairs.append((s1, first_step_reject(s1, moved, case_id)))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 64, 255, 256, 257, 600])
+def test_text_path_matches_reference_on_decide_families(n):
+    rng = random.Random(112 + n)
+    first_step = set()
+    for _ in range(8):
+        for s1, s2 in decide_family_pairs(rng, n):
+            verdict, _ = assert_text_path_matches(format_prefix(s1), format_prefix(s2))
+            w = verdict.witness
+            if w is not None and w.s2_position == n - 1:
+                first_step.add(w.case_id)
+    if n >= 8:
+        assert first_step == {4, 5}
+
+
+def right_side_faults(rhs):
+    """The right text with each kind of fault: unknown, repeated, missing
+    and invalid names, a bad quantifier, an extra pair, a dangling token, and
+    nothing at all."""
+    tokens = rhs.split()
+    k = len(tokens) // 2 | 1  # a name token past the first
+
+    def swap(at, token):
+        return " ".join(tokens[:at] + [token] + tokens[at + 1:])
+
+    return [
+        swap(k, "zz9"),
+        swap(k, tokens[k - 2]),
+        " ".join(tokens[:k - 1] + tokens[k + 1:]),
+        swap(k, "1x"),
+        swap(k - 1, "B"),
+        rhs + " A zz9",
+        rhs + " A",
+        " ",
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_text_path_raises_what_the_parser_raises(n):
+    rng = random.Random(113 + n)
+    s1 = random_prefix(n, rng, scrambled_names(rng, n))
+    lhs, rhs = format_prefix(s1), format_prefix(move_derived(rng, s1))
+    for bad in right_side_faults(rhs):
+        outcome = assert_text_path_matches(lhs, bad)
+        assert issubclass(outcome[0], PrefixError), bad
+    # a left-side fault outranks every right-side one
+    tokens = lhs.split()
+    left_faults = [
+        " ".join(tokens[:-1] + ["x-1"]),
+        " ".join(tokens[:-2] + ["E", tokens[1]]),
+        " ".join(["Q"] + tokens[1:]),
+        lhs + " E",
+        "",
+    ]
+    for bad_lhs in left_faults:
+        for bad in [rhs, *right_side_faults(rhs)]:
+            outcome = assert_text_path_matches(bad_lhs, bad)
+            assert outcome == text_outcome(reference_text_verdict, bad_lhs, "Q")
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_text_pairs())
+def test_text_path_matches_reference_on_fuzzed_texts(texts):
+    assert_text_path_matches(*texts)
