@@ -8,6 +8,12 @@ different members of one class reach different classes.  The raw prefixes
 are the packed class members from the oracle, and the oracle's packed moves
 map each of them to its successors' classes.
 
+The pair count is made two independent ways.  ``count_pairs`` runs the
+decision rule on every class pair, one bit-parallel pass per left class
+(``decide._accept_masks``); ``count_pairs_via_graph`` takes reachability in
+the class graph.  Both weight a class pair by its two multiplicities, and
+they agree up to ``PAIR_CAP`` = 6.
+
 Counts grow like ordered set partitions (two per run-length pattern), so
 everything here is capped to desk-scale n.
 """
@@ -19,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import factorial, prod
+from typing import Iterable
 
-from .decide import _f_start, _position_table, _scan
+from .decide import _accept_masks
 from .errors import InstanceTooLargeError
 from .oracle import _members, _moves
 from .prefix import CanonicalClass, Prefix, Quantifier, default_names
@@ -40,7 +47,7 @@ __all__ = [
 ]
 
 CLASS_CAP = 7
-PAIR_CAP = 5
+PAIR_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -176,41 +183,39 @@ def _report(n: int, g: ImplicationGraph, true_pairs: int) -> CensusReport:
     )
 
 
+def _weighted_pairs(rows: Iterable[int], mult: tuple[int, ...]) -> int:
+    """Sum of ``mult[u] * mult[v]`` over every set bit v of each row u."""
+    # One mask of vertices per distinct multiplicity: a row's weight is then
+    # a popcount per multiplicity instead of a walk over its bits.
+    masks: dict[int, int] = {}
+    for v, m in enumerate(mult):
+        masks[m] = masks.get(m, 0) | (1 << v)
+    return sum(
+        m1 * sum(m * (bits & mask).bit_count() for m, mask in masks.items())
+        for m1, bits in zip(mult, rows)
+    )
+
+
 def count_pairs(n: int, cap: int = PAIR_CAP) -> CensusReport:
     """Count ordered raw-prefix pairs (s1, s2) with s1 implying s2, exactly.
 
-    Implication is class-invariant, so the linear decider runs once per
-    ordered class pair and raw pairs are recovered by multiplicity weights.
+    Implication is class-invariant, so the linear rule runs on class
+    representatives and raw pairs are recovered by multiplicity weights.  The
+    rule runs as one bit-parallel pass per left class over every right class
+    at once (``decide._accept_masks``), so n = 6 (87.7M class pairs) takes
+    about a second.
     """
     _check_cap(n, cap)
     g = build_graph(n, cap=cap)
     reps = [(cls.rep.sigma, cls.rep.bits) for cls in g.vertices]
-    mult = g.multiplicity
-    true_pairs = 0
-    for (sigma1, b1), m1 in zip(reps, mult):
-        # The decider's setup depends on the lhs alone: build it once per row.
-        pos, f = _position_table(sigma1), _f_start(b1)
-        for (sigma2, b2), m2 in zip(reps, mult):
-            if _scan(pos, b1, sigma2, b2, f)[0] == 0:
-                true_pairs += m1 * m2
-    return _report(n, g, true_pairs)
+    return _report(n, g, _weighted_pairs(_accept_masks(reps, reps), g.multiplicity))
 
 
 def count_pairs_via_graph(n: int, cap: int = PAIR_CAP) -> CensusReport:
     """Independent pair count: graph reachability with multiplicity weights."""
     _check_cap(n, cap)
     g = build_graph(n, cap=cap)
-    mult = g.multiplicity
-    # One mask of vertices per distinct multiplicity: a row's weight is then
-    # a popcount per multiplicity instead of a walk over its bits.
-    masks: dict[int, int] = {}
-    for v, m in enumerate(mult):
-        masks[m] = masks.get(m, 0) | (1 << v)
-    true_pairs = 0
-    for u, bits in enumerate(reachability_bitsets(g)):
-        weight = sum(m * (bits & mask).bit_count() for m, mask in masks.items())
-        true_pairs += mult[u] * weight
-    return _report(n, g, true_pairs)
+    return _report(n, g, _weighted_pairs(reachability_bitsets(g), g.multiplicity))
 
 
 def export_graph(g: ImplicationGraph, fmt: str = "json") -> bytes:

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from prenex import (
+    CensusReport,
     InstanceTooLargeError,
     Prefix,
     build_graph,
@@ -19,6 +20,7 @@ from prenex import (
     reachability_bitsets,
     topological_order,
 )
+from prenex.decide import _accept_masks
 from prenex.oracle import _members, _unpack
 from support import all_raw_prefixes, fubini
 
@@ -170,13 +172,31 @@ def test_count_pairs_reflexivity_floor():
 
 
 def test_counting_methods_agree():
-    for n in (1, 2, 3, 4):
-        assert count_pairs(n).true_pairs == count_pairs_via_graph(n).true_pairs
+    for n in (1, 2, 3, 4, 5):
+        assert count_pairs(n) == count_pairs_via_graph(n)
+        # row by row too: the classes each class implies, by the rule and
+        # by reachability
+        g = build_graph(n)
+        reps = [(cls.rep.sigma, cls.rep.bits) for cls in g.vertices]
+        assert list(_accept_masks(reps, reps)) == reachability_bitsets(g)
+
+
+def test_count_pairs_n6_both_methods():
+    for count in (count_pairs, count_pairs_via_graph):
+        report = count(6)
+        assert report == CensusReport(
+            n=6,
+            class_count=9366,
+            edge_count=77664,
+            true_pairs=210_090_960,
+            total_pairs=2_123_366_400,
+            probability=Fraction(210_090_960, 2_123_366_400),
+        )
 
 
 def test_count_pairs_cap():
     with pytest.raises(InstanceTooLargeError):
-        count_pairs(6)
+        count_pairs(7)
 
 
 @pytest.mark.parametrize("count", [count_pairs, count_pairs_via_graph])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prenex.cli import main, run_bench
+from prenex.cli import build_parser, main, run_bench
 from support import prefix_text_pairs, run_python
 
 
@@ -334,8 +334,8 @@ def test_census_json(capsys):
 
 
 def test_census_cap_exit_3(capsys):
-    code, _, err = run(capsys, "census", "--n", "6")
-    assert code == 3 and err != ""
+    code, out, err = run(capsys, "census", "--n", "7")
+    assert (code, out, err) == (3, "", "error: n=7 outside the supported range 1..6\n")
 
 
 # --- bench ---------------------------------------------------------------------
@@ -547,6 +547,37 @@ def test_oracle_check_max_n_admits_reflexive_n9(capsys):
         capsys, "oracle-check", "--lhs", text, "--rhs", text, "--max-n", "9"
     )
     assert (code, out, err) == (0, "true\n", "")
+
+
+def _main_outcome(argv):
+    """``main``'s exit code, stdout and stderr, with argparse's own exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_print_the_same_bytes():
+    # ``main`` reuses one parser per process; no call may leave state in it
+    # that changes a later call's output, a usage error included.
+    calls = [
+        ("check", "--lhs", "E x1", "--rhs", "A x1", "--json"),
+        ("check", "--lhs", "A x1"),
+        ("census", "--n", "2"),
+        ("no-such-command",),
+        ("canon", "A x2 A x1"),
+        ("census", "--n", "0"),
+        ("--help",),
+    ]
+    first = [_main_outcome(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [1, 2, 0, 2, 0, 2, 0]
+    assert "usage: prenex check" in first[1][2]
+    for _ in range(2):
+        assert [_main_outcome(argv) for argv in calls] == first
+    assert build_parser() is not build_parser()
 
 
 # --- module entry point ---------------------------------------------------------
