@@ -205,7 +205,6 @@ def count_pairs(n: int, cap: int = PAIR_CAP) -> CensusReport:
     at once (``decide._accept_masks``), so n = 6 (87.7M class pairs) takes
     about a second.
     """
-    _check_cap(n, cap)
     g = build_graph(n, cap=cap)
     reps = [(cls.rep.sigma, cls.rep.bits) for cls in g.vertices]
     return _report(n, g, _weighted_pairs(_accept_masks(reps, reps), g.multiplicity))
@@ -213,7 +212,6 @@ def count_pairs(n: int, cap: int = PAIR_CAP) -> CensusReport:
 
 def count_pairs_via_graph(n: int, cap: int = PAIR_CAP) -> CensusReport:
     """Independent pair count: graph reachability with multiplicity weights."""
-    _check_cap(n, cap)
     g = build_graph(n, cap=cap)
     return _report(n, g, _weighted_pairs(reachability_bitsets(g), g.multiplicity))
 

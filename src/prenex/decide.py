@@ -36,11 +36,12 @@ table built once gives the rights holding each variable at each step, and
 each left costs one pass over its steps and positions.  It loads no numpy.
 
 The CLI's ``check`` and ``batch`` decide from text through
-``_text_verdict``, with no name sort: a dict from each left name to its text
-position is the scan's position table and the right text's names are
-sigma2, the first large-n step is one lookup in that dict, and J is the
-right names read through it.  Positions are all the decision needs; only a
-reject's ``variable`` is a sorted-name index, counted from the left names.
+``_text_verdict``, on a pair read by ``prefix._text_pair`` with no name
+sort: a dict from each left name to its text position is the scan's
+position table and the right text's names are sigma2, the first large-n
+step is one lookup in that dict, and J is the right names read through it.
+Positions are all the decision needs; only a reject's ``variable`` is a
+sorted-name index, counted from the left names.
 """
 
 from __future__ import annotations
@@ -50,15 +51,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Sequence
 
-from .prefix import (
-    Prefix,
-    Quantifier,
-    _quant_bits,
-    _split,
-    _valid_names,
-    ensure_same_universe,
-    parse_prefix_pair,
-)
+from .prefix import Prefix, Quantifier, _text_pair, ensure_same_universe
 
 __all__ = [
     "Verdict",
@@ -310,34 +303,18 @@ def _text_verdict(lhs_text: str, rhs_text: str) -> tuple[Verdict, str | None]:
     """``implies(*parse_prefix_pair(lhs_text, rhs_text))``, and the witnessed
     variable's name, decided in the left text's own order with no name sort.
 
-    One dict indexes the left names by text position, which is all the
-    decision needs, and is also the duplicate check.  Only the witness's
-    ``variable`` is a sorted-name index: it is the count of left names below
-    the witnessed one, O(n) on rejects only.  A pair with any fault goes
-    to ``parse_prefix_pair``, which raises the error that fault earns.
+    The text positions from ``_text_pair`` are all the decision needs.
+    Only the witness's ``variable`` is a sorted-name index: it is the count
+    of left names below the witnessed one, O(n) on rejects only.
     """
-    quants, order = _split(lhs_text)
-    b1 = _quant_bits(quants)
-    n = len(order)
-    at = dict(zip(order, range(n)))
-    if b1 is not None and len(at) == n and _valid_names(" ".join(order)):
-        quants, names2 = _split(rhs_text)
-        b2 = _quant_bits(quants)
-        # n right names that hold every left name are a permutation of them
-        if b2 is not None and len(names2) == n and not at.keys() - names2:
-            case_id, i, f = _decide_text(at, b1, names2, b2)
-            if case_id == 0:
-                return Verdict(True), None
-            name = names2[i]
-            rank = sum(map(operator.lt, order, repeat(name)))
-            witness = RejectWitness(case_id, i, rank, f if case_id == 4 else None)
-            return Verdict(False, witness), name
-    # A pair declined above has a fault, and the parser raises the error it
-    # earns; were the two ever to part, the pair would still be decided.
-    s1, s2 = parse_prefix_pair(lhs_text, rhs_text)
-    verdict = implies(s1, s2)
-    w = verdict.witness
-    return verdict, None if w is None else s2.names[w.variable]
+    order, b1, at, names2, b2 = _text_pair(lhs_text, rhs_text)
+    case_id, i, f = _decide_text(at, b1, names2, b2)
+    if case_id == 0:
+        return Verdict(True), None
+    name = names2[i]
+    rank = sum(map(operator.lt, order, repeat(name)))
+    witness = RejectWitness(case_id, i, rank, f if case_id == 4 else None)
+    return Verdict(False, witness), name
 
 
 def raw_implies(

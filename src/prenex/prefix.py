@@ -8,7 +8,9 @@ view of ``Quantifier`` members over those bytes.  Variable indices are
 tied to names through the ``names`` tuple: ``names[v]`` is the name of
 variable index ``v``, and the parser assigns indices by ascending
 lexicographic order of the names so that both sides of a pair share one
-universe.
+universe.  ``_text_pair`` reads a pair for the CLI's ``check`` and ``batch``
+instead: the left text's names in their own order, with no sort, and the
+errors the pair parser raises.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 import string
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .errors import (
     DuplicateVariableError,
@@ -308,6 +310,18 @@ def _raise_first_fault(quants: list[str], order: list[str]) -> None:
         seen.add(name)
 
 
+def _raise_unmatched(
+    index: dict[str, int], quants: list[str], order: list[str]
+) -> NoReturn:
+    """Raise the error of a right text that does not match the left names,
+    the keys of ``index``: its first faulty pair's, else the set mismatch."""
+    _raise_first_fault(quants, order)
+    raise VariableSetMismatchError(
+        f"variable sets differ (lhs only: {sorted(index.keys() - order)}, "
+        f"rhs only: {sorted(set(order) - index.keys())})"
+    )
+
+
 def _trusted(sigma: tuple[int, ...], bits: bytes, names: tuple[str, ...]) -> Prefix:
     """A Prefix built without ``__init__``, for fields that the parser has
     proved valid: n >= 1, distinct valid names, ``bits`` of 0/1 bytes, and
@@ -341,12 +355,33 @@ def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
     except KeyError:
         sigma = ()
     if bits is None or len(sigma) != s1.n or len(set(sigma)) != s1.n:
-        _raise_first_fault(quants, order)
-        raise VariableSetMismatchError(
-            f"variable sets differ (lhs only: {sorted(index.keys() - order)}, "
-            f"rhs only: {sorted(set(order) - index.keys())})"
-        )
+        _raise_unmatched(index, quants, order)
     return s1, _trusted(sigma, bits, s1.names)
+
+
+def _text_pair(
+    lhs_text: str, rhs_text: str
+) -> tuple[list[str], bytes, dict[str, int], list[str], bytes]:
+    """Read a pair in the left text's own order, with no name sort, raising
+    what :func:`parse_prefix_pair` raises.
+
+    Returns ``(order, b1, at, names2, b2)``: the left names in text order,
+    the left quantifier bytes, a dict from each left name to its text
+    position (which is also the duplicate check), and the right text's
+    names and quantifier bytes.
+    """
+    quants, order = _split(lhs_text)
+    b1 = _quant_bits(quants)
+    n = len(order)
+    at = dict(zip(order, range(n)))
+    if b1 is None or len(at) != n or not _valid_names(" ".join(order)):
+        _raise_first_fault(quants, order)
+    quants, names2 = _split(rhs_text)
+    b2 = _quant_bits(quants)
+    # n right names that hold every left name are a permutation of them
+    if b2 is None or len(names2) != n or at.keys() - names2:
+        _raise_unmatched(at, quants, names2)
+    return order, b1, at, names2, b2
 
 
 def default_names(n: int) -> tuple[str, ...]:

@@ -639,6 +639,32 @@ def test_text_path_raises_what_the_parser_raises(n):
             assert outcome == text_outcome(reference_text_verdict, bad_lhs, "Q")
 
 
+def test_text_path_never_parses_with_sorted_names(monkeypatch):
+    # Reference outcomes first; then the sorted-name parser raises on any
+    # call, and the text path must still give every one of them.
+    rng = random.Random(114)
+    s1 = random_prefix(300, rng, scrambled_names(rng, 300))
+    lhs, rhs = format_prefix(s1), format_prefix(move_derived(rng, s1))
+    tokens = lhs.split()
+    left_faults = [
+        " ".join(tokens[:-1] + ["x-1"]),
+        " ".join(tokens[:-2] + ["E", tokens[1]]),
+        " ".join(["Q"] + tokens[1:]),
+        lhs + " E",
+        "",
+    ]
+    pairs = [(lhs, bad) for bad in right_side_faults(rhs)]
+    pairs += [(bad, rhs) for bad in left_faults]
+    pairs += [(lhs, rhs), (lhs, lhs), ("E x1 A x2", "A x2 E x1"), ("E x", "A x")]
+    expected = [text_outcome(reference_text_verdict, *pair) for pair in pairs]
+
+    def universe(text):
+        raise AssertionError("the text path parsed with sorted names")
+
+    monkeypatch.setattr("prenex.prefix._universe", universe)
+    assert [text_outcome(_text_verdict, *pair) for pair in pairs] == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(prefix_text_pairs())
 def test_text_path_matches_reference_on_fuzzed_texts(texts):
