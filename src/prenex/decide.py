@@ -10,14 +10,21 @@ are fatal and produce a witnessed reject:
   still sits behind the variable on the left (tracked by the F pointer).
 
 Every stage reads the quantifiers as ``Prefix.bits``, one byte per position
-(0 existential, 1 universal), and never builds the ``b`` tuple view.
-``_core`` is the reference semantics: a position table for sigma1, the F
-start (s1's last existential), then ``_scan``, a backward loop over s2 with
-a verified bitmap and an F pointer that rescans downward only from its
+(0 existential, 1 universal), and never builds the ``b`` tuple view.  Every
+stage also tests the two cases as one condition: with J the s1 position of
+the step variable and F the largest existential s1 position not yet placed,
+a universal s2 step rejects when F >= J.  That is case 4 when J is universal
+(F > J) and case 5 when J is existential, since an unplaced existential J
+never lies above F.
+
+``_core`` is the reference semantics: a position table for sigma1, then
+``_scan``, a backward loop over s2 with a verified bitmap and an F pointer
+that starts at s1's last existential and rescans downward only from its
 previous value, so the whole decision is O(n).  It decides every pair below
 ``_SCATTER_THRESHOLD`` variables.  Its result, ``(case_id, i, f)``, is what
-every stage returns; ``decide_with_stats`` turns it into a ``Verdict`` and
-``DecideStats``, and the text path below into a ``Verdict``.
+every stage returns; ``_verdict`` turns it into a ``Verdict``,
+``decide_with_stats`` adds ``DecideStats``, and the text path below makes
+its own ``Verdict``.
 
 From that size up, ``_decide`` runs the scan's first step with one
 ``sigma1.index`` lookup and no table, so a first-step reject never loads
@@ -25,9 +32,8 @@ numpy.  Any other pair goes to ``_kernel``, which returns ``_core``'s tuple
 from a few numpy passes over J, the s1 position of each s2 step (built by
 one scatter and one gather).  F before step i is the largest existential
 position of s1 whose variable sits at an s2 index <= i, so F over all steps
-is a prefix maximum; step i rejects when s2 is universal there and s1 is
-existential (case 5) or F lies behind the variable (case 4), and the scan's
-first reject is the last such i.
+is a prefix maximum; step i rejects when s2 is universal there and F >= J,
+and the scan's first reject is the last such i.
 
 The census asks only accept or reject, for every pair of two lists of
 prefixes.  ``_accept_masks`` runs the kernel's rule on one left against
@@ -120,22 +126,22 @@ def _scan(
     b1: bytes,
     sigma2: Sequence[int] | Sequence[str],
     b2: bytes,
-    f: int,
 ) -> tuple[int, int, int]:
-    """The backward scan, given s1's position table and F's first value.
+    """The backward scan, given s1's position table.
 
     ``pos[sigma2[i]]`` is the s1 position of s2's step i: ``pos`` is a list
     over variable indices, or a dict over names with ``sigma2`` the names.
     """
+    f = _f_start(b1)
     verified = bytearray(len(pos))
     i = len(sigma2) - 1
     while i >= 0:
         j = pos[sigma2[i]]
-        if b2[i]:
-            if not b1[j]:
-                return 5, i, f
-            if f > j:
-                return 4, i, f
+        # One test for both cases: F >= J is case 4 when J is universal and
+        # case 5 when it is existential, as F is the largest existential
+        # still unplaced and J, met once, is unplaced.
+        if b2[i] and f >= j:
+            return 4 if b1[j] else 5, i, f
         verified[j] = 1
         if j == f:
             # Monotone rescan: resume at the previous F, skip verified and
@@ -159,7 +165,7 @@ def _core(
     at loop index i.  f is F's value at the end, -1 after an accept.
     ``b1``/``b2`` hold one byte per position, 0 (existential) or 1 (universal).
     """
-    return _scan(_position_table(sigma1), b1, sigma2, b2, _f_start(b1))
+    return _scan(_position_table(sigma1), b1, sigma2, b2)
 
 
 def _kernel(J, b1: bytes, b2: bytes) -> tuple[int, int, int]:
@@ -174,7 +180,9 @@ def _kernel(J, b1: bytes, b2: bytes) -> tuple[int, int, int]:
 
     univ = np.frombuffer(b1, np.bool_)[J]
     f = np.maximum.accumulate(np.where(univ, -1, J))  # F before each step
-    bad = np.frombuffer(b2, np.bool_) & (~univ | (f > J))
+    # F >= J covers case 5 too: F's max takes in step i's own J when it is
+    # existential.
+    bad = np.frombuffer(b2, np.bool_) & (f >= J)
     rejects = np.flatnonzero(bad)
     if not rejects.size:
         return 0, -1, -1
@@ -241,7 +249,7 @@ def _decide(
     if b2[i]:
         j = sigma1.index(sigma2[i])
         f = _f_start(b1)
-        if not b1[j] or f > j:
+        if f >= j:
             return 4 if b1[j] else 5, i, f
     import numpy as np
 
@@ -259,33 +267,35 @@ def _decide_text(
     """``_decide`` on a pair as read from text: ``at`` maps each left name to
     its text position, and ``names2`` is the right text's names in order."""
     n = len(names2)
-    f = _f_start(b1)
     if n < _SCATTER_THRESHOLD:
-        return _scan(at, b1, names2, b2, f)
+        return _scan(at, b1, names2, b2)
     i = n - 1
     if b2[i]:
         j = at[names2[i]]
-        if not b1[j] or f > j:
+        f = _f_start(b1)
+        if f >= j:
             return 4 if b1[j] else 5, i, f
     import numpy as np
 
     return _kernel(np.fromiter(map(at.__getitem__, names2), np.intp, n), b1, b2)
 
 
+def _verdict(s1: Prefix, s2: Prefix) -> tuple[Verdict, int, int]:
+    """:func:`implies`'s verdict, with the ``i`` and ``f`` it came from."""
+    ensure_same_universe(s1, s2)
+    case_id, i, f = _decide(s1.sigma, s1.bits, s2.sigma, s2.bits)
+    if case_id == 0:
+        return Verdict(True), i, f
+    witness = RejectWitness(case_id, i, s2.sigma[i], f if case_id == 4 else None)
+    return Verdict(False, witness), i, f
+
+
 def decide_with_stats(s1: Prefix, s2: Prefix) -> tuple[Verdict, DecideStats]:
     """Like :func:`implies`, also reporting instrumented operation counts."""
-    ensure_same_universe(s1, s2)
+    verdict, i, f = _verdict(s1, s2)
     n = s1.n
-    case_id, i, f = _decide(s1.sigma, s1.bits, s2.sigma, s2.bits)
-    stats = DecideStats(
-        n=n,
-        loop_steps=n - i if case_id else n,
-        rescan_steps=_f_start(s1.bits) - f,
-    )
-    if case_id == 0:
-        return Verdict(True), stats
-    witness = RejectWitness(case_id, i, s2.sigma[i], f if case_id == 4 else None)
-    return Verdict(False, witness), stats
+    loop_steps = n if verdict.accepted else n - i
+    return verdict, DecideStats(n, loop_steps, _f_start(s1.bits) - f)
 
 
 def implies(s1: Prefix, s2: Prefix) -> Verdict:
@@ -295,8 +305,7 @@ def implies(s1: Prefix, s2: Prefix) -> Verdict:
     verdict carries a case-4 or case-5 witness naming the rejecting position.
     Inputs are used as written (no canonicalization first).
     """
-    verdict, _ = decide_with_stats(s1, s2)
-    return verdict
+    return _verdict(s1, s2)[0]
 
 
 def _text_verdict(lhs_text: str, rhs_text: str) -> tuple[Verdict, str | None]:

@@ -107,9 +107,10 @@ def _bits_of(bits: bytes) -> int:
     return sum(q << i for i, q in enumerate(bits))
 
 
-def _pack(sigma: tuple[int, ...], bits: int, n: int) -> int:
-    state = bits << (4 * n)
-    for i, v in enumerate(sigma):
+def _pack(p: Prefix) -> int:
+    """``p`` as one packed state: a nibble per sigma slot, quantifier bits above."""
+    state = _bits_of(p.bits) << (4 * p.n)
+    for i, v in enumerate(p.sigma):
         state |= v << (4 * i)
     return state
 
@@ -162,12 +163,9 @@ def _members(p: Prefix) -> list[int]:
 
 
 def _explore(
-    sigma: tuple[int, ...],
-    bits: int,
-    n: int,
-    targets: set[int] | frozenset[int] = frozenset(),
+    p: Prefix, targets: set[int] | frozenset[int] = frozenset()
 ) -> tuple[bool, set[int]]:
-    """BFS over packed raw states; return ``(found, visited)``.
+    """BFS over packed raw states from ``p``; return ``(found, visited)``.
 
     ``found`` is whether some visited state lies in ``targets``; the search
     stops at the first one, leaving ``visited`` partial.  Without an early
@@ -176,7 +174,8 @@ def _explore(
     is reachable exactly when all of its members (its canonical one among
     them) are in ``visited``.
     """
-    root = _pack(sigma, bits, n)
+    n = p.n  # a property: read once, not on every pop
+    root = _pack(p)
     visited = {root}
     if root in targets:
         return True, visited
@@ -207,12 +206,11 @@ def oracle_implies(s1: Prefix, s2: Prefix, max_n: int = ORACLE_CAP) -> bool:
     move closure.  Exponential; guarded by ``max_n``.
     """
     ensure_same_universe(s1, s2)
-    n = s1.n
-    _check_cap(n, max_n)
+    _check_cap(s1.n, max_n)
     # Return before listing s2's class (up to n! states) when the root is in it.
     if s1.bits == s2.bits and equivalent(s1, s2):
         return True
-    found, _ = _explore(s1.sigma, _bits_of(s1.bits), n, targets=set(_members(s2)))
+    found, _ = _explore(s1, targets=set(_members(s2)))
     return found
 
 
@@ -224,7 +222,7 @@ def closure(p: Prefix, max_n: int = ORACLE_CAP) -> list[CanonicalClass]:
     """
     n = p.n
     _check_cap(n, max_n)
-    _, visited = _explore(p.sigma, _bits_of(p.bits), n)
+    _, visited = _explore(p)
     out = []
     for state in visited:
         # Flips and exists-forall swaps lower the packed value, and a same-run

@@ -30,7 +30,7 @@ from prenex import (
     validate_witness,
 )
 from prenex.cli import run_bench
-from prenex.oracle import _bits_of, _explore, _pack
+from prenex.oracle import _explore, _pack
 from support import all_raw_prefixes, fubini, run_python
 
 # Sampled-sweep grids: the 10^4 pairs per n come from an (s1 x s2) grid of
@@ -45,9 +45,8 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def class_key(p: Prefix, n: int) -> int:
-    rep = canonicalize(p).rep
-    return _pack(rep.sigma, _bits_of(rep.bits), n)
+def class_key(p: Prefix) -> int:
+    return _pack(canonicalize(p).rep)
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +60,11 @@ def exhaustive_sweep():
     summary = {}
     for n in (1, 2, 3, 4):
         states = list(all_raw_prefixes(n))
-        keys = [class_key(p, n) for p in states]
+        keys = [class_key(p) for p in states]
         closures = {}
         for p, key in zip(states, keys):
             if key not in closures:
-                _, closures[key] = _explore(p.sigma, _bits_of(p.bits), n)
+                _, closures[key] = _explore(p)
         checked = mismatches = rejects = bad_witnesses = 0
         acceptance = []
         for s1, key1 in zip(states, keys):
@@ -104,15 +103,15 @@ def sampled_sweep():
         names = default_names(n)
         s1s = [random_prefix(n, rng, names) for _ in range(n_s1)]
         s2s = [random_prefix(n, rng, names) for _ in range(n_s2)]
-        s2_keys = [class_key(p, n) for p in s2s]
+        s2_keys = [class_key(p) for p in s2s]
         s2_key_set = set(s2_keys)
         checked = mismatches = rejects = bad_witnesses = 0
         closures = {}
         for s1 in s1s:
-            key1 = class_key(s1, n)
+            key1 = class_key(s1)
             reach = closures.get(key1)
             if reach is None:
-                _, visited = _explore(s1.sigma, _bits_of(s1.bits), n)
+                _, visited = _explore(s1)
                 # cache only the s2 keys reached: a visited set at n = 8 can
                 # hold millions of raw states
                 reach = closures[key1] = s2_key_set & visited

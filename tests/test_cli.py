@@ -549,6 +549,13 @@ def test_oracle_check_max_n_admits_reflexive_n9(capsys):
     assert (code, out, err) == (0, "true\n", "")
 
 
+def test_oracle_check_stops_at_the_packed_state_ceiling(capsys):
+    text = " ".join(f"A x{i}" for i in range(1, 18))
+    assert run(
+        capsys, "oracle-check", "--lhs", text, "--rhs", text, "--max-n", "17"
+    ) == (3, "", "error: n=17 exceeds the packed-state ceiling 16\n")
+
+
 def _main_outcome(argv):
     """``main``'s exit code, stdout and stderr, with argparse's own exit."""
     out, err = io.StringIO(), io.StringIO()

@@ -35,7 +35,6 @@ from prenex.decide import (
     _core,
     _decide,
     _kernel,
-    _f_start,
     _position_table,
     _scan,
     _text_verdict,
@@ -226,6 +225,27 @@ def test_stats_are_linear_and_rescan_bounded():
         assert stats.rescan_steps <= n
 
 
+@pytest.mark.parametrize("n", [5, _SCATTER_THRESHOLD])
+def test_implies_builds_no_stats(monkeypatch, n):
+    # implies gives its verdict without DecideStats: from _core below the
+    # threshold, and from the first-step lookup (rejects) and the kernel
+    # (the accept, as s2 ends existential) at it
+    s1 = make_prefix(range(n), [1 - k % 2 for k in range(n)])  # A E A E ...
+    f = s1.bits.rfind(0)
+    expected = [
+        (s1, Verdict(True)),
+        (first_step_reject(s1, s1, 5), Verdict(False, RejectWitness(5, n - 1, 1))),
+        (first_step_reject(s1, s1, 4), Verdict(False, RejectWitness(4, n - 1, 0, f))),
+    ]
+
+    def no_stats(*args, **kwargs):
+        raise AssertionError("implies built a DecideStats")
+
+    monkeypatch.setattr("prenex.decide.DecideStats", no_stats)
+    for s2, verdict in expected:
+        assert implies(s1, s2) == verdict
+
+
 def test_decider_not_fooled_by_uncanonical_input():
     # raw inputs are decided as written, without canonicalizing first
     s1, s2 = parse_prefix_pair("A x2 A x1", "E x1 A x2")
@@ -337,11 +357,11 @@ def assert_masks_match_scan(states):
     masks = list(_accept_masks(states, states))
     assert len(masks) == len(states)
     for (sigma1, b1), mask in zip(states, masks):
-        pos, f = _position_table(sigma1), _f_start(b1)
+        pos = _position_table(sigma1)
         expected = sum(
             1 << r
             for r, (sigma2, b2) in enumerate(states)
-            if _scan(pos, b1, sigma2, b2, f)[0] == 0
+            if _scan(pos, b1, sigma2, b2)[0] == 0
         )
         assert mask == expected
 

@@ -20,7 +20,7 @@ from prenex import (
     random_prefix,
     successors,
 )
-from prenex.oracle import _bits_of, _moves, _pack, _unpack
+from prenex.oracle import _moves, _pack, _unpack
 from support import all_raw_prefixes
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
@@ -104,7 +104,7 @@ def test_packed_moves_match_successors():
     # readable apply_move reference
     for n in (1, 2, 3, 4):
         for p in all_raw_prefixes(n):
-            packed = _moves(_pack(p.sigma, _bits_of(p.bits), n), n)
+            packed = _moves(_pack(p), n)
             unpacked = {Prefix(*_unpack(state, n), p.names) for state in packed}
             expected = successors(p)
             assert len(packed) == len(unpacked) == len(expected)
@@ -163,6 +163,15 @@ def test_oracle_cap_enforced():
     with pytest.raises(InstanceTooLargeError):
         oracle_implies(p, q)
     assert isinstance(oracle_implies(p, q, max_n=9), bool)
+
+
+def test_packed_state_ceiling():
+    # a 17th variable's index would overflow its nibble, whatever the cap
+    p = random_prefix(17, random.Random(7))
+    for search in (lambda: oracle_implies(p, p, max_n=17), lambda: closure(p, max_n=17)):
+        with pytest.raises(InstanceTooLargeError) as raised:
+            search()
+        assert str(raised.value) == "n=17 exceeds the packed-state ceiling 16"
 
 
 def test_oracle_agrees_with_equivalence_on_zero_move_pairs():
