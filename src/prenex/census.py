@@ -8,11 +8,13 @@ different members of one class reach different classes.  The raw prefixes
 are the packed class members from the oracle, and the oracle's packed moves
 map each of them to its successors' classes.
 
-The pair count is made two independent ways.  ``count_pairs`` runs the
-decision rule on every class pair, one bit-parallel pass per left class
-(``decide._accept_masks``); ``count_pairs_via_graph`` takes reachability in
-the class graph.  Both weight a class pair by its two multiplicities, and
-they agree up to ``PAIR_CAP`` = 6.
+The pair count is made two independent ways.  ``count_pairs`` sums closed
+forms over the 2^n quantifier words: renaming both sides keeps an
+implication, so each word needs only the count of raw s2 that its
+identity-order prefix implies, which an insertion count on the decision rule
+gives.  ``count_pairs_via_graph`` takes reachability in the class graph and
+weights a class pair by its two multiplicities.  They agree up to
+``PAIR_CAP`` = 6.
 
 Counts grow like ordered set partitions (two per run-length pattern), so
 everything here is capped to desk-scale n.
@@ -27,7 +29,6 @@ from itertools import combinations, groupby, product
 from math import factorial, prod
 from typing import Iterable
 
-from .decide import _accept_masks
 from .errors import InstanceTooLargeError
 from .oracle import _members, _moves
 from .prefix import CanonicalClass, Prefix, Quantifier, default_names
@@ -171,12 +172,12 @@ def reachability_bitsets(g: ImplicationGraph) -> list[int]:
     return reach
 
 
-def _report(n: int, g: ImplicationGraph, true_pairs: int) -> CensusReport:
+def _report(n: int, class_count: int, edge_count: int, true_pairs: int) -> CensusReport:
     total = (factorial(n) * 2**n) ** 2
     return CensusReport(
         n=n,
-        class_count=len(g.vertices),
-        edge_count=len(g.edges),
+        class_count=class_count,
+        edge_count=edge_count,
         true_pairs=true_pairs,
         total_pairs=total,
         probability=Fraction(true_pairs, total),
@@ -196,24 +197,63 @@ def _weighted_pairs(rows: Iterable[int], mult: tuple[int, ...]) -> int:
     )
 
 
+def _implied_count(word: tuple[int, ...]) -> int:
+    """C(w): how many raw s2 the prefix (identity order, ``word``) implies.
+
+    By the rule, s2 is a placement order of s1's positions, each position
+    existential there or, when it is universal in s1 and every existential
+    above it in s1 lies past it in s2, universal.  Positions are inserted
+    from the top of s1, so each one's condition is settled as it goes in:
+    ``weights[s]`` counts the partial s2 with s items before their first
+    existential, and m items in all.
+    """
+    weights = [1]
+    for m, universal in enumerate(reversed(word)):
+        # A slot past the first existential: existential, state kept.
+        grown = [(m - s) * c for s, c in enumerate(weights)] + [0]
+        if universal:
+            # A slot before it: either quantifier, one more item before it.
+            for s, c in enumerate(weights):
+                grown[s + 1] += 2 * (s + 1) * c
+        else:
+            # Slot t <= s: the new first existential, t items before it.
+            tail = 0
+            for t in range(len(weights) - 1, -1, -1):
+                tail += weights[t]
+                grown[t] += tail
+        weights = grown
+    return sum(weights)
+
+
 def count_pairs(n: int, cap: int = PAIR_CAP) -> CensusReport:
     """Count ordered raw-prefix pairs (s1, s2) with s1 implying s2, exactly.
 
-    Implication is class-invariant, so the linear rule runs on class
-    representatives and raw pairs are recovered by multiplicity weights.  The
-    rule runs as one bit-parallel pass per left class over every right class
-    at once (``decide._accept_masks``), so n = 6 (87.7M class pairs) takes
-    about a second.
+    Closed forms, summed over the 2^n quantifier words with no class graph.
+    A word with run lengths r has n!/prod(r!) classes.  Each class has
+    L * 2^(L-1) out-edges from the flips in a universal run of length L, and
+    a * b from the swaps of an existential run of length a with the
+    universal run of length b after it.  Renaming the variables on both
+    sides keeps an implication, so the true pairs are n! times the sum of
+    ``_implied_count`` over the words.
     """
-    g = build_graph(n, cap=cap)
-    reps = [(cls.rep.sigma, cls.rep.bits) for cls in g.vertices]
-    return _report(n, g, _weighted_pairs(_accept_masks(reps, reps), g.multiplicity))
+    _check_cap(n, cap)
+    classes = edges = implied = 0
+    for word in product((0, 1), repeat=n):
+        lengths = [(q, len(tuple(run))) for q, run in groupby(word)]
+        word_classes = factorial(n) // prod(factorial(r) for _, r in lengths)
+        flips = sum(r << (r - 1) for q, r in lengths if q)
+        swaps = sum(a * b for (q, a), (_, b) in zip(lengths, lengths[1:]) if not q)
+        classes += word_classes
+        edges += word_classes * (flips + swaps)
+        implied += _implied_count(word)
+    return _report(n, classes, edges, factorial(n) * implied)
 
 
 def count_pairs_via_graph(n: int, cap: int = PAIR_CAP) -> CensusReport:
     """Independent pair count: graph reachability with multiplicity weights."""
     g = build_graph(n, cap=cap)
-    return _report(n, g, _weighted_pairs(reachability_bitsets(g), g.multiplicity))
+    pairs = _weighted_pairs(reachability_bitsets(g), g.multiplicity)
+    return _report(n, len(g.vertices), len(g.edges), pairs)
 
 
 def export_graph(g: ImplicationGraph, fmt: str = "json") -> bytes:

@@ -35,12 +35,6 @@ position of s1 whose variable sits at an s2 index <= i, so F over all steps
 is a prefix maximum; step i rejects when s2 is universal there and F >= J,
 and the scan's first reject is the last such i.
 
-The census asks only accept or reject, for every pair of two lists of
-prefixes.  ``_accept_masks`` runs the kernel's rule on one left against
-every right at once: Python ints are bit vectors with one bit per right, a
-table built once gives the rights holding each variable at each step, and
-each left costs one pass over its steps and positions.  It loads no numpy.
-
 The CLI's ``check`` and ``batch`` decide from text through
 ``_text_verdict``, on a pair read by ``prefix._text_pair`` with no name
 sort: a dict from each left name to its text position is the scan's
@@ -55,7 +49,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .prefix import Prefix, Quantifier, _text_pair, ensure_same_universe
 
@@ -188,49 +182,6 @@ def _kernel(J, b1: bytes, b2: bytes) -> tuple[int, int, int]:
         return 0, -1, -1
     i = int(rejects[-1])
     return 4 if univ[i] else 5, i, int(f[i])
-
-
-def _accept_masks(
-    lefts: Sequence[tuple[Sequence[int], bytes]],
-    rights: Sequence[tuple[Sequence[int], bytes]],
-) -> Iterator[int]:
-    """For each left ``(sigma1, b1)``, the mask of the rights it implies: bit
-    r is set when ``_core`` accepts the left against ``rights[r]``.
-
-    ``_kernel``'s rule, run on every right at once with Python ints as bit
-    vectors, one bit per right.  Steps go forward, as F is a prefix max, and
-    within a step the s1 positions j go down, so that ``seen`` holds the
-    rights whose step-i variable is existential past j.  ``behind[j]`` holds
-    the rights with an existential past j at an earlier step: their F lies
-    past j.  Every prefix has one n, and ``rights`` is non-empty.
-    """
-    n = len(rights[0][0])
-    # at[i][v]: the rights with variable v at step i; uat[i][v] keeps those
-    # universal there.
-    at = [[0] * n for _ in range(n)]
-    uat = [[0] * n for _ in range(n)]
-    for r, (sigma2, b2) in enumerate(rights):
-        bit = 1 << r
-        for i, v in enumerate(sigma2):
-            at[i][v] |= bit
-            if b2[i]:
-                uat[i][v] |= bit
-    full = (1 << len(rights)) - 1
-    steps = list(zip(at, uat))
-    for sigma1, b1 in lefts:
-        positions = [(j, sigma1[j], b1[j]) for j in range(n - 1, -1, -1)]
-        rejected = 0
-        behind = [0] * n
-        for row, urow in steps:
-            seen = 0
-            for j, v, universal in positions:
-                if universal:
-                    rejected |= urow[v] & behind[j]  # case 4
-                    behind[j] |= seen
-                else:
-                    rejected |= urow[v]  # case 5
-                    seen |= row[v]
-        yield full ^ rejected
 
 
 def _decide(

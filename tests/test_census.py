@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -13,6 +14,7 @@ from prenex import (
     closure,
     count_pairs,
     count_pairs_via_graph,
+    default_names,
     enumerate_classes,
     export_graph,
     implies,
@@ -20,9 +22,10 @@ from prenex import (
     reachability_bitsets,
     topological_order,
 )
-from prenex.decide import _accept_masks
-from prenex.oracle import _members, _unpack
-from support import all_raw_prefixes, fubini
+from prenex.census import _implied_count
+from prenex.decide import _core
+from prenex.oracle import _explore, _members, _unpack
+from support import all_raw_prefixes, all_raw_states, fubini
 
 
 # --- class enumeration --------------------------------------------------------
@@ -174,11 +177,25 @@ def test_count_pairs_reflexivity_floor():
 def test_counting_methods_agree():
     for n in (1, 2, 3, 4, 5):
         assert count_pairs(n) == count_pairs_via_graph(n)
-        # row by row too: the classes each class implies, by the rule and
-        # by reachability
-        g = build_graph(n)
-        reps = [(cls.rep.sigma, cls.rep.bits) for cls in g.vertices]
-        assert list(_accept_masks(reps, reps)) == reachability_bitsets(g)
+
+
+def test_implied_count_matches_oracle_reach():
+    # The BFS never reads the decision rule: its visited set is every raw s2
+    # that the identity-order prefix implies.
+    for n in range(1, 7):
+        identity, names = tuple(range(n)), default_names(n)
+        for word in product((0, 1), repeat=n):
+            _, visited = _explore(Prefix(identity, bytes(word), names))
+            assert _implied_count(word) == len(visited)
+
+
+def test_implied_count_matches_rule_on_every_raw_s2():
+    for n in (1, 2, 3, 4):
+        identity, states = tuple(range(n)), list(all_raw_states(n))
+        for word in product((0, 1), repeat=n):
+            b1 = bytes(word)
+            accepts = sum(_core(identity, b1, sigma2, b2)[0] == 0 for sigma2, b2 in states)
+            assert _implied_count(word) == accepts
 
 
 def test_count_pairs_n6_both_methods():
@@ -199,7 +216,19 @@ def test_count_pairs_cap():
         count_pairs(7)
 
 
-@pytest.mark.parametrize("count", [count_pairs, count_pairs_via_graph])
+def test_count_pairs_exact_past_the_cap():
+    # At n = 8 the oracle's reach, summed over all 256 words, gives the same
+    # true pairs (about 12 minutes, so not a test).
+    for n, want in [
+        (7, (94_586, 944_468, 25_851_707_280, 416_179_814_400)),
+        (8, (1_091_670, 12_748_992, 4_105_265_028_480, 106_542_032_486_400)),
+    ]:
+        report = count_pairs(n, cap=n)
+        got = (report.class_count, report.edge_count, report.true_pairs, report.total_pairs)
+        assert got == want
+
+
+@pytest.mark.parametrize("count", [count_pairs_via_graph])
 def test_count_pairs_forwards_cap_to_build_graph(monkeypatch, count):
     seen = []
 

@@ -17,7 +17,6 @@ from prenex import (
     Verdict,
     decide_with_stats,
     default_names,
-    enumerate_classes,
     equivalent,
     format_prefix,
     implies,
@@ -31,12 +30,10 @@ from prenex import (
 )
 from prenex.decide import (
     _SCATTER_THRESHOLD,
-    _accept_masks,
     _core,
     _decide,
     _kernel,
     _position_table,
-    _scan,
     _text_verdict,
 )
 from support import (
@@ -349,41 +346,6 @@ def test_kernel_matches_core_on_sampled_pairs():
         assert_stages_match_core(
             *raw(random_prefix(n, rng, names), random_prefix(n, rng, names))
         )
-
-
-def assert_masks_match_scan(states):
-    """Bit r of each left's accept mask is ``_scan``'s verdict on the pair
-    (left, ``states[r]``), for every pair of the states."""
-    masks = list(_accept_masks(states, states))
-    assert len(masks) == len(states)
-    for (sigma1, b1), mask in zip(states, masks):
-        pos = _position_table(sigma1)
-        expected = sum(
-            1 << r
-            for r, (sigma2, b2) in enumerate(states)
-            if _scan(pos, b1, sigma2, b2)[0] == 0
-        )
-        assert mask == expected
-
-
-def test_accept_masks_match_scan_on_every_class_pair():
-    for n in (1, 2, 3, 4, 5):
-        reps = [(cls.rep.sigma, cls.rep.bits) for cls, _ in enumerate_classes(n)]
-        assert_masks_match_scan(reps)
-
-
-def test_accept_masks_match_scan_on_every_raw_pair():
-    # raw members, not sorted inside their runs, as ``_scan`` takes them too
-    for n in (1, 2, 3, 4):
-        assert_masks_match_scan(list(all_raw_states(n)))
-
-
-def test_accept_masks_take_lefts_and_rights_apart():
-    states = list(all_raw_states(3))
-    lefts, rights = states[::7], states[3::5]
-    for (sigma1, b1), mask in zip(lefts, _accept_masks(lefts, rights)):
-        for r, (sigma2, b2) in enumerate(rights):
-            assert (mask >> r) & 1 == (_core(sigma1, b1, sigma2, b2)[0] == 0)
 
 
 def test_census_loads_no_numpy():
