@@ -10,10 +10,22 @@ of the target's class it meets, and ``closure`` keeps one visited state per
 class, the one sorted inside each run.  State counts stay manageable under
 the size cap (n!*2^n is about 10.3M at n=8).
 
+``oracle_implies`` prunes by the quantifier word w, bit i set when position
+i is universal.  A flip clears one bit of w; an exists-forall swap turns
+bits (i, i+1) from (0, 1) into (1, 0), lowering w by 2^i; a same-run swap
+leaves w alone and stays inside the class.  So no move raises w or its
+popcount, and every move that leaves a class lowers w.  A state outside the
+target's class can reach that class only if its word is above the target's
+with no fewer universals; a state that fails this has no descendant that
+passes it, so leaving it unexpanded loses no path to the target.  Every
+visited state is still tested against the target, and ``closure``, the
+census and a bare ``_explore`` keep the full search.
+
 Internally states are packed into single ints (one nibble per sigma slot,
 quantifier bits above), which keeps the visited set compact; that encoding
-tops out at 16 variables.  The census builds its class graph from the same
-packed moves and class members.
+tops out at 16 variables.  The moves open to a state depend on its word
+alone and are read from one cached table per word.  The census builds its
+class graph from the same packed moves and class members.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import permutations, product
 
 from .errors import InstanceTooLargeError
@@ -121,32 +134,64 @@ def _unpack(state: int, n: int) -> tuple[tuple[int, ...], bytes]:
     return sigma, bytes((word >> i) & 1 for i in range(n))
 
 
+@cache
+def _word_moves(
+    word: int, n: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...], tuple[tuple[int, int], ...]]:
+    """The moves open to every packed state whose quantifier word is ``word``.
+
+    Returns ``(flips, swaps, same)``.  ``flips`` holds one XOR mask per
+    universal position.  ``swaps`` holds, per adjacent pair that may swap, the
+    two nibble shifts ``4i`` and ``4i + 4``, the ``17 << 4i`` multiplier that
+    writes the two nibbles' difference back into both slots, and the
+    quantifier XOR (nonzero for an exists-forall pair).  ``same`` holds the
+    nibble shifts of each same-run pair.  A move depends on the word alone,
+    so there are at most 2^n entries per n.
+    """
+    shift = 4 * n
+    flips = tuple(1 << (shift + i) for i in range(n) if (word >> i) & 1)
+    swaps = []
+    same = []
+    for i in range(n - 1):
+        pair = (word >> i) & 3
+        if pair == 1:  # universal then existential: no move applies
+            continue
+        lo = 4 * i
+        # an existential-universal pair swaps quantifiers too
+        quant = 3 << (shift + i) if pair == 2 else 0
+        swaps.append((lo, lo + 4, 17 << lo, quant))
+        if not quant:
+            same.append((lo, lo + 4))
+    return flips, tuple(swaps), tuple(same)
+
+
 def _moves(state: int, n: int) -> list[int]:
     """Packed successors of a packed state: every flip and adjacent swap.
 
     Same-run swaps are included, so a search over these moves visits every
     member of each class it reaches.
     """
-    shift = 4 * n
-    word = state >> shift
-    succ = []
-    rest = word
-    i = 0
-    while rest:  # flip each universal position to existential
-        if rest & 1:
-            succ.append(state ^ (1 << (shift + i)))
-        rest >>= 1
-        i += 1
-    for i in range(n - 1):
-        pair = (word >> i) & 3
-        if pair == 1:  # universal then existential: no move applies
-            continue
-        z = ((state >> (4 * i)) ^ (state >> (4 * i + 4))) & 15
-        swapped = state ^ ((z << (4 * i)) | (z << (4 * i + 4)))
-        if pair == 2:  # existential-universal pair swaps quantifiers too
-            swapped ^= 3 << (shift + i)
-        succ.append(swapped)
+    flips, swaps, _ = _word_moves(state >> (4 * n), n)
+    succ = [state ^ mask for mask in flips]
+    for lo, hi, spread, quant in swaps:
+        succ.append(state ^ (((state >> lo) ^ (state >> hi)) & 15) * spread ^ quant)
     return succ
+
+
+def _sorted_runs(state: int, n: int) -> bool:
+    """Whether ``state`` is ascending at every same-run pair: its class's
+    canonical member, the one state of the class that no move raises."""
+    for lo, hi in _word_moves(state >> (4 * n), n)[2]:
+        if (state >> lo) & 15 > (state >> hi) & 15:
+            return False
+    return True
+
+
+def _can_reach(word: int, floor: int) -> bool:
+    """Whether a state of quantifier word ``word`` outside a class of word
+    ``floor`` can reach that class: no move raises a word or its popcount,
+    and every move that leaves a class lowers the word."""
+    return word > floor and word.bit_count() >= floor.bit_count()
 
 
 def _members(p: Prefix) -> list[int]:
@@ -163,18 +208,23 @@ def _members(p: Prefix) -> list[int]:
 
 
 def _explore(
-    p: Prefix, targets: set[int] | frozenset[int] = frozenset()
+    p: Prefix, targets: set[int] | frozenset[int] = frozenset(), floor: int | None = None
 ) -> tuple[bool, set[int]]:
     """BFS over packed raw states from ``p``; return ``(found, visited)``.
 
     ``found`` is whether some visited state lies in ``targets``; the search
     stops at the first one, leaving ``visited`` partial.  Without an early
-    stop ``visited`` is every raw state reachable from the root, and it is
-    closed under class membership because same-run swaps are moves: a class
-    is reachable exactly when all of its members (its canonical one among
-    them) are in ``visited``.
+    stop or a ``floor``, ``visited`` is every raw state reachable from the
+    root, and it is closed under class membership because same-run swaps are
+    moves: a class is reachable exactly when all of its members (its
+    canonical one among them) are in ``visited``.
+
+    ``floor`` is the quantifier word of a target class.  Every visited state
+    is still tested against ``targets``, but only states that can still
+    reach a class of that word (``_can_reach``) are expanded.
     """
     n = p.n  # a property: read once, not on every pop
+    shift = 4 * n
     root = _pack(p)
     visited = {root}
     if root in targets:
@@ -186,7 +236,8 @@ def _explore(
                 visited.add(nxt)
                 if nxt in targets:
                     return True, visited
-                queue.append(nxt)
+                if floor is None or _can_reach(nxt >> shift, floor):
+                    queue.append(nxt)
     return False, visited
 
 
@@ -207,10 +258,14 @@ def oracle_implies(s1: Prefix, s2: Prefix, max_n: int = ORACLE_CAP) -> bool:
     """
     ensure_same_universe(s1, s2)
     _check_cap(s1.n, max_n)
-    # Return before listing s2's class (up to n! states) when the root is in it.
+    # Return before listing s2's class (up to n! states) when the root is in
+    # it, or when no move sequence from the root can reach a class of its word.
     if s1.bits == s2.bits and equivalent(s1, s2):
         return True
-    found, _ = _explore(s1, targets=set(_members(s2)))
+    floor = _bits_of(s2.bits)
+    if not _can_reach(_bits_of(s1.bits), floor):
+        return False
+    found, _ = _explore(s1, targets=set(_members(s2)), floor=floor)
     return found
 
 
@@ -225,10 +280,7 @@ def closure(p: Prefix, max_n: int = ORACLE_CAP) -> list[CanonicalClass]:
     _, visited = _explore(p)
     out = []
     for state in visited:
-        # Flips and exists-forall swaps lower the packed value, and a same-run
-        # swap lowers it exactly when the pair was ascending, so the states
-        # sorted inside each run are the ones that no move raises.
-        if all(nxt < state for nxt in _moves(state, n)):
+        if _sorted_runs(state, n):
             sigma, bits = _unpack(state, n)
             out.append(CanonicalClass(Prefix(sigma, bits, p.names)))
     out.sort(key=lambda c: c.text)

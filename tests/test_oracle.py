@@ -20,7 +20,7 @@ from prenex import (
     random_prefix,
     successors,
 )
-from prenex.oracle import _moves, _pack, _unpack
+from prenex.oracle import _explore, _moves, _pack, _sorted_runs, _unpack
 from support import all_raw_prefixes
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
@@ -100,15 +100,25 @@ def test_every_successor_is_accepted_by_decider():
 
 
 def test_packed_moves_match_successors():
-    # the packed generator shared by the oracle and the census against the
-    # readable apply_move reference
-    for n in (1, 2, 3, 4):
+    # the table-driven packed generator shared by the oracle and the census
+    # against the readable apply_move reference
+    for n in (1, 2, 3, 4, 5):
         for p in all_raw_prefixes(n):
             packed = _moves(_pack(p), n)
             unpacked = {Prefix(*_unpack(state, n), p.names) for state in packed}
             expected = successors(p)
             assert len(packed) == len(unpacked) == len(expected)
             assert unpacked == expected, str(p)
+
+
+def test_sorted_runs_are_the_states_no_move_raises():
+    # closure's canonical filter reads the same-run pairs from the per-word
+    # table; it must pick exactly the states that every move lowers
+    for n in (1, 2, 3, 4, 5):
+        for p in all_raw_prefixes(n):
+            state = _pack(p)
+            unraised = all(nxt < state for nxt in _moves(state, n))
+            assert _sorted_runs(state, n) == unraised, str(p)
 
 
 def test_strict_progress_measure():
@@ -128,6 +138,20 @@ def test_strict_progress_measure():
                     assert measure(q) == measure(p)
                 else:
                     assert measure(q) < measure(p)
+
+
+def test_moves_never_raise_the_quantifier_word():
+    # the oracle's prune rests on this: no move raises the quantifier word w
+    # or its popcount, and a move lowers w exactly when it leaves the class
+    for n in (1, 2, 3, 4, 5):
+        for p in all_raw_prefixes(n):
+            state = _pack(p)
+            word = state >> (4 * n)
+            for nxt in _moves(state, n):
+                after = nxt >> (4 * n)
+                assert after <= word and after.bit_count() <= word.bit_count()
+                q = Prefix(*_unpack(nxt, n), p.names)
+                assert (after < word) == (not equivalent(p, q)), (str(p), str(q))
 
 
 # --- reachability --------------------------------------------------------------
@@ -156,13 +180,25 @@ def test_oracle_agrees_with_decider_on_every_raw_pair():
                 )
 
 
+def test_pruned_oracle_matches_full_reachability_on_every_raw_pair():
+    # the pruned search against the unpruned one, with no use of the decider:
+    # s2's class is reachable iff s2 itself is in the full visited set, which
+    # is closed under class membership
+    for n in (1, 2, 3, 4):
+        states = list(all_raw_prefixes(n))
+        for s1 in states:
+            _, visited = _explore(s1)
+            for s2 in states:
+                assert oracle_implies(s1, s2) == (_pack(s2) in visited), (str(s1), str(s2))
+
+
 def test_oracle_cap_enforced():
     rng = random.Random(3)
     p = random_prefix(9, rng)
     q = random_prefix(9, rng)
     with pytest.raises(InstanceTooLargeError):
         oracle_implies(p, q)
-    assert isinstance(oracle_implies(p, q, max_n=9), bool)
+    assert oracle_implies(p, q, max_n=9) == implies(p, q).accepted
 
 
 def test_packed_state_ceiling():
