@@ -14,7 +14,7 @@ implication, so each word needs only the count of raw s2 that its
 identity-order prefix implies, which an insertion count on the decision rule
 gives.  ``count_pairs_via_graph`` takes reachability in the class graph and
 weights a class pair by its two multiplicities.  They agree up to
-``PAIR_CAP`` = 6.
+``PAIR_CAP`` = 6, and CI also checks n = 7 with ``cap=7``.
 
 Counts grow like ordered set partitions (two per run-length pattern), so
 everything here is capped to desk-scale n.

@@ -59,7 +59,6 @@ __all__ = [
     "DecideStats",
     "implies",
     "decide_with_stats",
-    "raw_implies",
     "validate_witness",
 ]
 
@@ -277,21 +276,6 @@ def _text_verdict(lhs_text: str, rhs_text: str) -> tuple[Verdict, str | None]:
     return Verdict(False, witness), name
 
 
-def raw_implies(
-    sigma1: Sequence[int],
-    b1: Sequence[int],
-    sigma2: Sequence[int],
-    b2: Sequence[int],
-) -> bool:
-    """``implies(...).accepted`` on integer-encoded inputs, with no ``Prefix``
-    and no validation: the sigmas must be permutations of one ``0..n-1``.
-
-    ``b1``/``b2`` may be 0/1 ``bytes``, used as they are, or any sequence
-    of 0/1 ints or Quantifier members.
-    """
-    return _decide(sigma1, bytes(b1), sigma2, bytes(b2))[0] == 0
-
-
 def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
     """Re-check a reject witness directly against the inputs.
 
@@ -307,10 +291,7 @@ def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
         return False
     if not 0 <= w.s2_position < s2.n or s2.sigma[w.s2_position] != w.variable:
         return False
-    try:
-        j = s1.sigma.index(w.variable)
-    except ValueError:
-        return False
+    j = s1.sigma.index(w.variable)
     q1 = s1.bits[j]
     q2 = s2.bits[w.s2_position]
     if w.case_id == 5:
