@@ -2,11 +2,11 @@
 
 A class is determined by its quantifier string plus the set of variables in
 each run (order inside a run is immaterial), so classes are enumerated
-directly: each quantifier word, with variables distributed between its runs;
-no raw sweep is needed for the vertex set.  Edges do need every raw prefix:
-different members of one class reach different classes.  The raw prefixes
-are the packed class members from the oracle, and the oracle's packed moves
-map each of them to its successors' classes.
+directly: each distinct arrangement of a quantifier word's run labels over
+the variables; no raw sweep is needed for the vertex set.  Edges do need
+every raw prefix: different members of one class reach different classes.
+The raw prefixes are the packed class members from the oracle, and the
+oracle's packed moves map each of them to its successors' classes.
 
 The pair count is made two independent ways.  ``count_pairs`` sums closed
 forms over the 2^n quantifier words: renaming both sides keeps an
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, product
+from itertools import groupby, permutations, product
 from math import factorial, prod
 from typing import Iterable
 
@@ -86,18 +86,6 @@ def _check_cap(n: int, cap: int) -> None:
         raise InstanceTooLargeError(f"n={n} outside the supported range 1..{cap}")
 
 
-def _distributions(pool: tuple[int, ...], parts: tuple[int, ...]):
-    """All ways to deal ``pool`` into runs of the given sizes, each ascending."""
-    if not parts:
-        yield ()
-        return
-    for head in combinations(pool, parts[0]):
-        chosen = set(head)
-        rest = tuple(v for v in pool if v not in chosen)
-        for tail in _distributions(rest, parts[1:]):
-            yield head + tail
-
-
 def enumerate_classes(
     n: int, cap: int = CLASS_CAP
 ) -> list[tuple[CanonicalClass, int]]:
@@ -108,12 +96,15 @@ def enumerate_classes(
     """
     _check_cap(n, cap)
     names = default_names(n)
-    pool = tuple(range(n))
     out = []
     for b in product(Quantifier, repeat=n):
         parts = tuple(len(tuple(run)) for _, run in groupby(b))
         mult = prod(map(factorial, parts))
-        for sigma in _distributions(pool, parts):
+        labels = [k for k, size in enumerate(parts) for _ in range(size)]
+        # where[v] is the run that holds variable v; a stable sort on it lists
+        # each run's variables in ascending order.
+        for where in sorted(set(permutations(labels))):
+            sigma = tuple(sorted(range(n), key=where.__getitem__))
             # A shared Quantifier tuple, not bytes: reading rep.b then builds nothing.
             out.append((CanonicalClass(Prefix(sigma, b, names)), mult))
     out.sort(key=lambda item: item[0].text)

@@ -137,21 +137,20 @@ def _unpack(state: int, n: int) -> tuple[tuple[int, ...], bytes]:
 @cache
 def _word_moves(
     word: int, n: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...], tuple[tuple[int, int], ...]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]]:
     """The moves open to every packed state whose quantifier word is ``word``.
 
-    Returns ``(flips, swaps, same)``.  ``flips`` holds one XOR mask per
-    universal position.  ``swaps`` holds, per adjacent pair that may swap, the
-    two nibble shifts ``4i`` and ``4i + 4``, the ``17 << 4i`` multiplier that
+    Returns ``(flips, swaps)``.  ``flips`` holds one XOR mask per universal
+    position.  ``swaps`` holds, per adjacent pair that may swap, the two
+    nibble shifts ``4i`` and ``4i + 4``, the ``17 << 4i`` multiplier that
     writes the two nibbles' difference back into both slots, and the
-    quantifier XOR (nonzero for an exists-forall pair).  ``same`` holds the
-    nibble shifts of each same-run pair.  A move depends on the word alone,
-    so there are at most 2^n entries per n.
+    quantifier XOR (nonzero for an exists-forall pair, zero for a same-run
+    pair).  A move depends on the word alone, so there are at most 2^n
+    entries per n.
     """
     shift = 4 * n
     flips = tuple(1 << (shift + i) for i in range(n) if (word >> i) & 1)
     swaps = []
-    same = []
     for i in range(n - 1):
         pair = (word >> i) & 3
         if pair == 1:  # universal then existential: no move applies
@@ -160,9 +159,7 @@ def _word_moves(
         # an existential-universal pair swaps quantifiers too
         quant = 3 << (shift + i) if pair == 2 else 0
         swaps.append((lo, lo + 4, 17 << lo, quant))
-        if not quant:
-            same.append((lo, lo + 4))
-    return flips, tuple(swaps), tuple(same)
+    return flips, tuple(swaps)
 
 
 def _moves(state: int, n: int) -> list[int]:
@@ -171,7 +168,7 @@ def _moves(state: int, n: int) -> list[int]:
     Same-run swaps are included, so a search over these moves visits every
     member of each class it reaches.
     """
-    flips, swaps, _ = _word_moves(state >> (4 * n), n)
+    flips, swaps = _word_moves(state >> (4 * n), n)
     succ = [state ^ mask for mask in flips]
     for lo, hi, spread, quant in swaps:
         succ.append(state ^ (((state >> lo) ^ (state >> hi)) & 15) * spread ^ quant)
@@ -181,8 +178,8 @@ def _moves(state: int, n: int) -> list[int]:
 def _sorted_runs(state: int, n: int) -> bool:
     """Whether ``state`` is ascending at every same-run pair: its class's
     canonical member, the one state of the class that no move raises."""
-    for lo, hi in _word_moves(state >> (4 * n), n)[2]:
-        if (state >> lo) & 15 > (state >> hi) & 15:
+    for lo, hi, _, quant in _word_moves(state >> (4 * n), n)[1]:
+        if not quant and (state >> lo) & 15 > (state >> hi) & 15:
             return False
     return True
 

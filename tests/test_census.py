@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
@@ -7,6 +8,7 @@ import pytest
 
 from prenex import (
     CensusReport,
+    ImplicationGraph,
     InstanceTooLargeError,
     Prefix,
     build_graph,
@@ -55,7 +57,7 @@ def test_classes_at_n2():
 
 
 def test_every_raw_prefix_lands_in_exactly_one_class():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         index = {c.rep: m for c, m in enumerate_classes(n)}
         hits = {rep: 0 for rep in index}
         for p in all_raw_prefixes(n):
@@ -67,6 +69,15 @@ def test_every_raw_prefix_lands_in_exactly_one_class():
             assert len(members) == mult
             for sigma, b in members:
                 assert canonicalize(Prefix(sigma, b, rep.names)).rep == rep
+
+
+def test_class_listing_at_n7_matches_pinned_hash():
+    # Every class text and multiplicity, in order, so that the listing stays
+    # the same across commits.
+    listing = "".join(f"{cls.text}:{mult}\n" for cls, mult in enumerate_classes(7))
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "fd8be63c756e1df9b02b5079a916b064550562de9b0c9ca6e6b17ee5485e4786"
+    )
 
 
 def test_multiplicities_sum_to_full_space():
@@ -109,6 +120,11 @@ def test_graph_is_acyclic_up_to_n5():
         order = topological_order(g)
         position = {u: i for i, u in enumerate(order)}
         assert all(position[u] < position[v] for u, v in g.edges)
+    # and the order refuses a graph that has a cycle
+    vertices = tuple(cls for cls, _ in enumerate_classes(1))
+    cycle = ImplicationGraph(1, vertices, frozenset({(0, 1), (1, 0)}), (1, 1))
+    with pytest.raises(ValueError, match="implication graph contains a cycle"):
+        topological_order(cycle)
 
 
 def test_no_self_loops():
@@ -281,6 +297,22 @@ def test_export_is_byte_stable():
     g1, g2 = build_graph(3), build_graph(3)
     for fmt in ("json", "dot"):
         assert export_graph(g1, fmt) == export_graph(g2, fmt)
+
+
+def test_export_bytes_match_pinned_hashes():
+    # SHA-256 of each export, so that the bytes stay the same across
+    # commits, not only across two builds in one process.
+    pinned = {
+        (5, "json"): "9a15ff8cad89baa69211f9f9a0e7dfec7632d3651d4a4aa2ba809f1b130dfb7e",
+        (5, "dot"): "3c50ec1cf20ad1e92255b05acee4ff58e1383686a26c8331a5a97e503427676a",
+        (6, "json"): "63a0dd81a3b8bdd02e3200a11a6d1a2d4be6e39cf425aea74ce425ebdc7a8ed4",
+        (6, "dot"): "9e3547a322f4177134648d4a2f064f65e5d06d7993ffd5e81cdd1d22cea111a8",
+    }
+    for n in (5, 6):
+        g = build_graph(n)
+        for fmt in ("json", "dot"):
+            digest = hashlib.sha256(export_graph(g, fmt)).hexdigest()
+            assert digest == pinned[n, fmt], (n, fmt)
 
 
 def test_export_rejects_unknown_format():

@@ -86,7 +86,7 @@ def test_check_fuzzed_text_exits_cleanly(texts, as_json):
 # --- batch -----------------------------------------------------------------
 
 
-def test_batch_mixed_records(tmp_path, capsys):
+def test_batch_mixed_records(tmp_path, capsys, monkeypatch):
     path = tmp_path / "pairs.jsonl"
     lines = [
         {"lhs": "A x1", "rhs": "E x1"},
@@ -97,6 +97,14 @@ def test_batch_mixed_records(tmp_path, capsys):
     assert code == 1 and err == ""
     docs = [json.loads(line) for line in out.splitlines()]
     assert [d["verdict"] for d in docs] == ["accept", "reject"]
+    # "-" reads the same records from stdin, and a malformed line as well
+    stdin = "".join(json.dumps(rec) + "\n" for rec in lines) + '{"lhs": \n'
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
+    code, out, err = run(capsys, "batch", "-")
+    assert code == 1 and err == ""
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [d.get("verdict") for d in docs] == ["accept", "reject", None]
+    assert list(docs[2]) == ["error"]
 
 
 def test_batch_empty_file(tmp_path, capsys):
@@ -577,11 +585,13 @@ def test_repeated_main_calls_print_the_same_bytes():
         ("no-such-command",),
         ("canon", "A x2 A x1"),
         ("census", "--n", "0"),
+        ("bench", "--sizes", "x"),
         ("--help",),
     ]
     first = [_main_outcome(argv) for argv in calls]
-    assert [code for code, _, _ in first] == [1, 2, 0, 2, 0, 2, 0]
+    assert [code for code, _, _ in first] == [1, 2, 0, 2, 0, 2, 2, 0]
     assert "usage: prenex check" in first[1][2]
+    assert "bad sizes list 'x'" in first[6][2]
     for _ in range(2):
         assert [_main_outcome(argv) for argv in calls] == first
     assert build_parser() is not build_parser()

@@ -92,6 +92,7 @@ def test_validate_witness_rejects_forged_witnesses():
         Verdict(True, w),
         Verdict(False, replace(w, s2_position=2)),
         Verdict(False, replace(w, case_id=5, blocking_f=None)),
+        Verdict(False, replace(w, case_id=3)),  # no such reject case
         Verdict(False, replace(w, blocking_f=1)),  # j itself
         Verdict(False, replace(w, blocking_f=3)),  # a universal
         Verdict(False, replace(w, blocking_f=s1.n)),

@@ -392,7 +392,9 @@ def test_runs_partition_and_alternate(p):
 
 
 def test_canonicalize_sorts_within_run():
-    assert canonicalize(parse_prefix("A x2 A x1 E x3")).text == "A x1 A x2 E x3"
+    cls = canonicalize(parse_prefix("A x2 A x1 E x3"))
+    assert cls.text == "A x1 A x2 E x3"
+    assert str(cls) == cls.text
 
 
 def test_canonicalize_leaves_singleton_runs():
