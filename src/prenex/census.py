@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .errors import InstanceTooLargeError
 from .oracle import _members, _moves
-from .prefix import CanonicalClass, Prefix, Quantifier, default_names
+from .prefix import CanonicalClass, Prefix, default_names
 
 __all__ = [
     "CLASS_CAP",
@@ -97,16 +97,16 @@ def enumerate_classes(
     _check_cap(n, cap)
     names = default_names(n)
     out = []
-    for b in product(Quantifier, repeat=n):
-        parts = tuple(len(tuple(run)) for _, run in groupby(b))
+    for word in product((0, 1), repeat=n):
+        parts = tuple(len(tuple(run)) for _, run in groupby(word))
+        bits = bytes(word)
         mult = prod(map(factorial, parts))
         labels = [k for k, size in enumerate(parts) for _ in range(size)]
         # where[v] is the run that holds variable v; a stable sort on it lists
         # each run's variables in ascending order.
         for where in sorted(set(permutations(labels))):
             sigma = tuple(sorted(range(n), key=where.__getitem__))
-            # A shared Quantifier tuple, not bytes: reading rep.b then builds nothing.
-            out.append((CanonicalClass(Prefix(sigma, b, names)), mult))
+            out.append((CanonicalClass(Prefix(sigma, bits, names)), mult))
     out.sort(key=lambda item: item[0].text)
     return out
 
@@ -256,7 +256,7 @@ def export_graph(g: ImplicationGraph, fmt: str = "json") -> bytes:
                 {"id": i, "prefix": cls.text, "multiplicity": g.multiplicity[i]}
                 for i, cls in enumerate(g.vertices)
             ],
-            "edges": [list(edge) for edge in g.sorted_edges()],
+            "edges": g.sorted_edges(),
         }
         return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
     if fmt == "dot":

@@ -93,10 +93,11 @@ class Prefix:
 
     The quantifiers are stored once, in ``bits``: one byte per position, 0 for
     EXISTS and 1 for FORALL.  ``b`` is a tuple view of Quantifier members over
-    those bytes, built on first access; the decider reads ``bits`` and never
-    builds it.  The constructor takes ``b`` as 0/1 ``bytes``, which it stores
-    as they are, or as Quantifier members or 0/1 ints, whose tuple of members
-    it keeps as the view.
+    those bytes, built on the first read of ``b`` and kept; the decider reads
+    ``bits`` and never builds it.  The constructor takes ``b`` as 0/1
+    ``bytes``, which it stores as they are, or as Quantifier members or 0/1
+    ints, which it stores as bytes: no prefix holds the view until ``b`` is
+    read.
 
     Direct construction checks every one of these invariants.  The parsers
     build their results without repeating the checks, because parsing has
@@ -116,18 +117,11 @@ class Prefix:
     ) -> None:
         sigma = tuple(sigma)
         names = tuple(names)
-        view = None
         if type(b) is not bytes or b.translate(None, b"\x00\x01"):
-            view = tuple(b)
-            if set(map(type, view)) - {Quantifier}:
-                # ValueError for anything but 0 and 1
-                view = tuple(map(Quantifier, view))
-            b = bytes(view)
+            b = bytes(map(Quantifier, b))  # ValueError for anything but 0 and 1
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "bits", b)
         object.__setattr__(self, "names", names)
-        if view is not None:  # already the view: keep it rather than build another
-            object.__setattr__(self, "_view", view)
         n = len(sigma)
         if n == 0:
             raise EmptyPrefixError("a prefix must quantify at least one variable")

@@ -17,6 +17,7 @@ from prenex import (
     Verdict,
     decide_with_stats,
     default_names,
+    enumerate_classes,
     equivalent,
     format_prefix,
     implies,
@@ -272,8 +273,20 @@ def test_decisions_never_build_the_tuple_view(n):
         # ``_view`` is the slot that holds ``b`` once it is built
         for p in (s1, s2, *built):
             assert not hasattr(p, "_view")
-    s1.b
-    assert hasattr(s1, "_view")
+    # nor does a prefix built from Quantifier members or 0/1 ints, or a
+    # census representative; each builds its view on the first read of b
+    members = [Quantifier(k % 3 == 0) for k in range(n)]
+    ints = [k % 2 for k in range(n)]
+    unread = [
+        (Prefix(range(n), members, default_names(n)), tuple(members)),
+        (Prefix(range(n), ints, default_names(n)), tuple(ints)),
+        (s1, (Quantifier.FORALL,) * n),
+    ]
+    unread += [(cls.rep, tuple(cls.rep.bits)) for cls, _ in enumerate_classes(3)]
+    for p, want in unread:
+        assert not hasattr(p, "_view")
+        view = p.b
+        assert view == want and p.b is view and p._view is view
 
 
 def test_numpy_loads_only_for_large_decisions():
