@@ -31,8 +31,6 @@ class graph from the same packed moves and class members.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from itertools import permutations, product
 
@@ -47,72 +45,12 @@ from .prefix import (
 
 __all__ = [
     "ORACLE_CAP",
-    "MoveKind",
-    "Move",
-    "applicable_moves",
-    "apply_move",
-    "successors",
     "oracle_implies",
     "closure",
 ]
 
 ORACLE_CAP = 8
 _PACKING_CEILING = 16  # one nibble per sigma slot
-
-
-class MoveKind(Enum):
-    SWAP_SAME = "swap-same"
-    FLIP = "flip"
-    SWAP_EA = "swap-ea"
-
-
-@dataclass(frozen=True)
-class Move:
-    """One sound transformation, acting on ``position`` (and ``position + 1``
-    for the swap kinds)."""
-
-    kind: MoveKind
-    position: int
-
-
-def applicable_moves(p: Prefix) -> list[Move]:
-    """All moves that apply to ``p``, in a fixed deterministic order."""
-    bits = p.bits
-    out = [Move(MoveKind.FLIP, i) for i, q in enumerate(bits) if q]
-    for i in range(p.n - 1):
-        if bits[i] == bits[i + 1]:
-            out.append(Move(MoveKind.SWAP_SAME, i))
-        elif not bits[i]:
-            out.append(Move(MoveKind.SWAP_EA, i))
-    return out
-
-
-def apply_move(p: Prefix, move: Move) -> Prefix:
-    """Apply one move; variables travel with their quantifiers on swaps."""
-    i = move.position
-    if not 0 <= i < p.n - (move.kind is not MoveKind.FLIP):
-        raise ValueError(f"{move.kind.value} position {i} is out of range at n={p.n}")
-    sigma = list(p.sigma)
-    bits = list(p.bits)
-    if move.kind is MoveKind.FLIP:
-        if not bits[i]:
-            raise ValueError(f"flip needs a universal at position {i}")
-        bits[i] = 0
-    elif move.kind is MoveKind.SWAP_SAME:
-        if bits[i] != bits[i + 1]:
-            raise ValueError(f"same-run swap needs equal quantifiers at {i},{i + 1}")
-        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-    else:
-        if bits[i] or not bits[i + 1]:
-            raise ValueError(f"exists-forall swap does not apply at {i},{i + 1}")
-        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-        bits[i], bits[i + 1] = 1, 0
-    return Prefix(tuple(sigma), bytes(bits), p.names)
-
-
-def successors(p: Prefix) -> set[Prefix]:
-    """All distinct raw prefixes one move away from ``p`` (never ``p`` itself)."""
-    return {apply_move(p, move) for move in applicable_moves(p)}
 
 
 def _bits_of(bits: bytes) -> int:
@@ -218,14 +156,14 @@ def _explore(
 
     ``floor`` is the quantifier word of a target class.  Every visited state
     is still tested against ``targets``, but only states that can still
-    reach a class of that word (``_can_reach``) are expanded.
+    reach a class of that word (``_can_reach``) are expanded.  The root
+    itself is never tested: callers pass ``targets`` only when the root is
+    not among them.
     """
     n = p.n  # a property: read once, not on every pop
     shift = 4 * n
     root = _pack(p)
     visited = {root}
-    if root in targets:
-        return True, visited
     queue = deque((root,))
     while queue:
         for nxt in _moves(queue.popleft(), n):

@@ -118,7 +118,9 @@ class Prefix:
         sigma = tuple(sigma)
         names = tuple(names)
         if type(b) is not bytes or b.translate(None, b"\x00\x01"):
-            b = bytes(map(Quantifier, b))  # ValueError for anything but 0 and 1
+            # TypeError for a non-integer item (as for sigma), ValueError for
+            # an integer other than 0 and 1
+            b = bytes(map(Quantifier, map(operator.index, b)))
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "bits", b)
         object.__setattr__(self, "names", names)

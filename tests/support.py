@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from enum import Enum
 from itertools import permutations, product
 from math import comb
 from pathlib import Path
@@ -46,6 +48,65 @@ def all_raw_prefixes(n):
     names = default_names(n)
     for sigma, bits in all_raw_states(n):
         yield Prefix(sigma, bits, names)
+
+
+# The readable reference for the sound moves.  The oracle and the census use
+# only the packed moves in prenex.oracle; tests check those against these.
+
+
+class MoveKind(Enum):
+    SWAP_SAME = "swap-same"
+    FLIP = "flip"
+    SWAP_EA = "swap-ea"
+
+
+@dataclass(frozen=True)
+class Move:
+    """One sound transformation, acting on ``position`` (and ``position + 1``
+    for the swap kinds)."""
+
+    kind: MoveKind
+    position: int
+
+
+def applicable_moves(p: Prefix) -> list[Move]:
+    """All moves that apply to ``p``, in a fixed deterministic order."""
+    bits = p.bits
+    out = [Move(MoveKind.FLIP, i) for i, q in enumerate(bits) if q]
+    for i in range(p.n - 1):
+        if bits[i] == bits[i + 1]:
+            out.append(Move(MoveKind.SWAP_SAME, i))
+        elif not bits[i]:
+            out.append(Move(MoveKind.SWAP_EA, i))
+    return out
+
+
+def apply_move(p: Prefix, move: Move) -> Prefix:
+    """Apply one move; variables travel with their quantifiers on swaps."""
+    i = move.position
+    if not 0 <= i < p.n - (move.kind is not MoveKind.FLIP):
+        raise ValueError(f"{move.kind.value} position {i} is out of range at n={p.n}")
+    sigma = list(p.sigma)
+    bits = list(p.bits)
+    if move.kind is MoveKind.FLIP:
+        if not bits[i]:
+            raise ValueError(f"flip needs a universal at position {i}")
+        bits[i] = 0
+    elif move.kind is MoveKind.SWAP_SAME:
+        if bits[i] != bits[i + 1]:
+            raise ValueError(f"same-run swap needs equal quantifiers at {i},{i + 1}")
+        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+    else:
+        if bits[i] or not bits[i + 1]:
+            raise ValueError(f"exists-forall swap does not apply at {i},{i + 1}")
+        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+        bits[i], bits[i + 1] = 1, 0
+    return Prefix(tuple(sigma), bytes(bits), p.names)
+
+
+def successors(p: Prefix) -> set[Prefix]:
+    """All distinct raw prefixes one move away from ``p`` (never ``p`` itself)."""
+    return {apply_move(p, move) for move in applicable_moves(p)}
 
 
 def fubini(n: int) -> int:

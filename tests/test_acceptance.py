@@ -16,8 +16,6 @@ import pytest
 from prenex import (
     Prefix,
     Quantifier,
-    applicable_moves,
-    apply_move,
     canonicalize,
     count_pairs,
     count_pairs_via_graph,
@@ -26,12 +24,18 @@ from prenex import (
     enumerate_classes,
     implies,
     random_prefix,
-    successors,
     validate_witness,
 )
 from prenex.cli import run_bench
 from prenex.oracle import _explore, _pack
-from support import all_raw_prefixes, fubini, run_python
+from support import (
+    all_raw_prefixes,
+    applicable_moves,
+    apply_move,
+    fubini,
+    run_python,
+    successors,
+)
 
 # Sampled-sweep grids: the 10^4 pairs per n come from an (s1 x s2) grid of
 # independent uniform samples, so each s1 class's closure is computed once

@@ -25,7 +25,6 @@ from prenex import (
     parse_prefix,
     parse_prefix_pair,
     random_prefix,
-    successors,
     validate_witness,
 )
 from prenex.decide import (
@@ -42,6 +41,7 @@ from support import (
     make_prefix,
     prefix_text_pairs,
     run_python,
+    successors,
 )
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
@@ -261,8 +261,9 @@ def test_decider_not_fooled_by_uncanonical_input():
 @pytest.mark.parametrize("n", [5, _SCATTER_THRESHOLD])
 def test_decisions_never_build_the_tuple_view(n):
     # the reference loop, the first-step lookup (a reject) and the kernel
-    # (accept) read the packed bytes; oracle_implies and the move API
-    # read them too, and successors are built from bytes
+    # (accept) read the packed bytes; oracle_implies and the reference
+    # moves in tests/support.py read them too, and successors are built
+    # from bytes
     texts = [" ".join(f"{q} {name}" for name in default_names(n)) for q in "EA"]
     for lhs, rhs in ((texts[0], texts[1]), (texts[1], texts[1])):
         s1, s2 = parse_prefix_pair(lhs, rhs)

@@ -1,15 +1,14 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import prenex
 from prenex import (
     InstanceTooLargeError,
-    Move,
-    MoveKind,
     Prefix,
     Quantifier,
-    applicable_moves,
-    apply_move,
     canonicalize,
     closure,
     equivalent,
@@ -18,10 +17,16 @@ from prenex import (
     parse_prefix,
     parse_prefix_pair,
     random_prefix,
-    successors,
 )
 from prenex.oracle import _explore, _moves, _pack, _sorted_runs, _unpack
-from support import all_raw_prefixes
+from support import (
+    Move,
+    MoveKind,
+    all_raw_prefixes,
+    applicable_moves,
+    apply_move,
+    successors,
+)
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
 
@@ -101,7 +106,7 @@ def test_every_successor_is_accepted_by_decider():
 
 def test_packed_moves_match_successors():
     # the table-driven packed generator shared by the oracle and the census
-    # against the readable apply_move reference
+    # against the readable apply_move reference in tests/support.py
     for n in (1, 2, 3, 4, 5):
         for p in all_raw_prefixes(n):
             packed = _moves(_pack(p), n)
@@ -218,6 +223,27 @@ def test_oracle_agrees_with_equivalence_on_zero_move_pairs():
         q = canonicalize(p).rep
         assert equivalent(p, q)
         assert oracle_implies(p, q) and oracle_implies(q, p)
+
+
+def _imported_modules(tree):
+    """Every module an import in ``tree`` may bind, with relative imports
+    resolved inside the prenex package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["prenex" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_oracle_and_census_never_import_the_decider():
+    # the oracle certifies the decider, so neither it nor the census that
+    # shares its moves may reach decide.py
+    package = Path(prenex.__file__).parent
+    for module in ("oracle", "census"):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        assert "prenex.decide" not in set(_imported_modules(tree)), module
 
 
 # --- closure --------------------------------------------------------------------

@@ -116,6 +116,10 @@ def test_prefix_constructor_validates():
         Prefix((0, 1), (1, 2), ("x1", "x2"))  # not a quantifier bit
     with pytest.raises(ValueError):
         Prefix((0, 1), b"\x01\x02", ("x1", "x2"))  # not a quantifier byte
+    with pytest.raises(TypeError):
+        Prefix((0, 1), (1.0, 0.0), ("x1", "x2"))  # not an integer quantifier
+    with pytest.raises(TypeError):
+        Prefix((0, 1), "AE", ("x1", "x2"))  # not integer quantifiers
     with pytest.raises(EmptyPrefixError):
         make_prefix([], [])
 

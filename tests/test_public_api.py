@@ -15,8 +15,6 @@ PUBLIC_NAMES = [
     "ImplicationGraph",
     "InstanceTooLargeError",
     "LengthMismatchError",
-    "Move",
-    "MoveKind",
     "ORACLE_CAP",
     "PAIR_CAP",
     "Prefix",
@@ -28,8 +26,6 @@ PUBLIC_NAMES = [
     "VariableSetMismatchError",
     "Verdict",
     "__version__",
-    "applicable_moves",
-    "apply_move",
     "build_graph",
     "canonicalize",
     "closure",
@@ -49,7 +45,6 @@ PUBLIC_NAMES = [
     "random_prefix",
     "reachability_bitsets",
     "runs",
-    "successors",
     "topological_order",
     "validate_witness",
 ]
@@ -58,7 +53,7 @@ MODULES = ["prefix", "decide", "oracle", "census", "errors"]
 
 
 def test_all_is_the_pinned_list_without_duplicates():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(prenex.__all__) == PUBLIC_NAMES
     assert len(set(prenex.__all__)) == len(prenex.__all__)
 
