@@ -6,7 +6,9 @@ directly: each distinct arrangement of a quantifier word's run labels over
 the variables; no raw sweep is needed for the vertex set.  Edges do need
 every raw prefix: different members of one class reach different classes.
 The raw prefixes are the packed class members from the oracle, and the
-oracle's packed moves map each of them to its successors' classes.
+oracle's packed moves map each of them to its successors' classes.  Every
+edge lowers its source's quantifier word, so ascending word order is a
+topological order of the graph, and reachability runs in that order.
 
 The pair count is made two independent ways.  ``count_pairs`` sums closed
 forms over the 2^n quantifier words: renaming both sides keeps an
@@ -30,7 +32,7 @@ from math import factorial, prod
 from typing import Iterable
 
 from .errors import InstanceTooLargeError
-from .oracle import _members, _moves
+from .oracle import _bits_of, _members, _moves
 from .prefix import CanonicalClass, Prefix, default_names
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "build_graph",
     "count_pairs",
     "count_pairs_via_graph",
-    "topological_order",
     "reachability_bitsets",
     "export_graph",
 ]
@@ -57,7 +58,8 @@ class ImplicationGraph:
 
     ``vertices`` are sorted by canonical text; ``edges`` hold vertex-index
     pairs produced by flips and exists-forall swaps (same-run swaps stay
-    inside a class); ``multiplicity[i]`` counts raw prefixes in class i.
+    inside a class), and every edge lowers its source's quantifier word;
+    ``multiplicity[i]`` counts raw prefixes in class i.
     """
 
     n: int
@@ -126,36 +128,22 @@ def build_graph(n: int, cap: int = CLASS_CAP) -> ImplicationGraph:
     return ImplicationGraph(n, vertices, frozenset(edges), multiplicity)
 
 
-def topological_order(g: ImplicationGraph) -> list[int]:
-    """Kahn topological order; raises if the graph has a cycle."""
-    count = len(g.vertices)
-    indegree = [0] * count
-    adjacency: list[list[int]] = [[] for _ in range(count)]
-    for u, v in g.edges:
-        adjacency[u].append(v)
-        indegree[v] += 1
-    ready = [u for u in range(count) if indegree[u] == 0]
-    order = []
-    while ready:
-        u = ready.pop()
-        order.append(u)
-        for v in adjacency[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                ready.append(v)
-    if len(order) != count:
-        raise ValueError("implication graph contains a cycle")
-    return order
-
-
 def reachability_bitsets(g: ImplicationGraph) -> list[int]:
-    """Per-vertex reachable sets (self included) as int bitsets."""
+    """Per-vertex reachable sets (self included) as int bitsets.
+
+    Every edge lowers its source's quantifier word, so ascending word order
+    visits each vertex after all of its successors; an edge that does not
+    lower the word (every edge on a cycle is one) raises ``ValueError``.
+    """
     count = len(g.vertices)
+    words = [_bits_of(cls.rep.bits) for cls in g.vertices]
     adjacency: list[list[int]] = [[] for _ in range(count)]
     for u, v in g.edges:
+        if words[v] >= words[u]:
+            raise ValueError(f"edge {u} -> {v} does not lower the quantifier word")
         adjacency[u].append(v)
     reach = [0] * count
-    for u in reversed(topological_order(g)):
+    for u in sorted(range(count), key=words.__getitem__):
         bits = 1 << u
         for v in adjacency[u]:
             bits |= reach[v]

@@ -266,12 +266,12 @@ def _text_verdict(lhs_text: str, rhs_text: str) -> tuple[Verdict, str | None]:
     Only the witness's ``variable`` is a sorted-name index: it is the count
     of left names below the witnessed one, O(n) on rejects only.
     """
-    order, b1, at, names2, b2 = _text_pair(lhs_text, rhs_text)
+    b1, at, names2, b2 = _text_pair(lhs_text, rhs_text)
     case_id, i, f = _decide_text(at, b1, names2, b2)
     if case_id == 0:
         return Verdict(True), None
     name = names2[i]
-    rank = sum(map(operator.lt, order, repeat(name)))
+    rank = sum(map(operator.lt, at, repeat(name)))
     witness = RejectWitness(case_id, i, rank, f if case_id == 4 else None)
     return Verdict(False, witness), name
 

@@ -276,8 +276,10 @@ def _quant_bits(quants: list[str]) -> bytes | None:
     return bits if len(bits) == len(quants) and 2 not in bits else None
 
 
-def _universe(text: str) -> tuple[Prefix, dict[str, int]]:
-    """Parse one text into its prefix and the index map of its sorted names.
+def _read(text: str, sort: bool) -> tuple[list[str], bytes, list[str], dict[str, int]]:
+    """Read one text into ``(order, bits, names, index)``: its names in text
+    order, its quantifier bytes, its names sorted (or in text order when
+    ``sort`` is false), and the map from each name to its place in ``names``.
 
     The map doubles as the duplicate check, and one identifier check covers
     all the names; only a text that fails a check is walked pair by pair, to
@@ -286,11 +288,11 @@ def _universe(text: str) -> tuple[Prefix, dict[str, int]]:
     quants, order = _split(text)
     bits = _quant_bits(quants)
     # Sorting the text order is linear on texts already in order.
-    names = sorted(order)
+    names = sorted(order) if sort else order
     index = dict(zip(names, range(len(names))))
     if bits is None or len(index) != len(names) or not _valid_names(" ".join(names)):
         _raise_first_fault(quants, order)
-    return _trusted(tuple(map(index.__getitem__, order)), bits, tuple(names)), index
+    return order, bits, names, index
 
 
 def _raise_first_fault(quants: list[str], order: list[str]) -> None:
@@ -331,7 +333,8 @@ def _trusted(sigma: tuple[int, ...], bits: bytes, names: tuple[str, ...]) -> Pre
 
 def parse_prefix(text: str) -> Prefix:
     """Parse a single prefix; indices follow ascending lexicographic name order."""
-    return _universe(text)[0]
+    order, bits, names, index = _read(text, sort=True)
+    return _trusted(tuple(map(index.__getitem__, order)), bits, tuple(names))
 
 
 def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
@@ -343,7 +346,8 @@ def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
     index map: an unknown name, a repeat or a missing name sends it to the
     fault walk, and a set mismatch is reported only if that finds no fault.
     """
-    s1, index = _universe(lhs_text)
+    order, b1, names, index = _read(lhs_text, sort=True)
+    s1 = _trusted(tuple(map(index.__getitem__, order)), b1, tuple(names))
     quants, order = _split(rhs_text)
     bits = _quant_bits(quants)
     try:
@@ -357,27 +361,21 @@ def parse_prefix_pair(lhs_text: str, rhs_text: str) -> tuple[Prefix, Prefix]:
 
 def _text_pair(
     lhs_text: str, rhs_text: str
-) -> tuple[list[str], bytes, dict[str, int], list[str], bytes]:
+) -> tuple[bytes, dict[str, int], list[str], bytes]:
     """Read a pair in the left text's own order, with no name sort, raising
     what :func:`parse_prefix_pair` raises.
 
-    Returns ``(order, b1, at, names2, b2)``: the left names in text order,
-    the left quantifier bytes, a dict from each left name to its text
-    position (which is also the duplicate check), and the right text's
-    names and quantifier bytes.
+    Returns ``(b1, at, names2, b2)``: the left quantifier bytes, a dict from
+    each left name to its text position, in text order, and the right
+    text's names and quantifier bytes.
     """
-    quants, order = _split(lhs_text)
-    b1 = _quant_bits(quants)
-    n = len(order)
-    at = dict(zip(order, range(n)))
-    if b1 is None or len(at) != n or not _valid_names(" ".join(order)):
-        _raise_first_fault(quants, order)
+    _, b1, _, at = _read(lhs_text, sort=False)
     quants, names2 = _split(rhs_text)
     b2 = _quant_bits(quants)
     # n right names that hold every left name are a permutation of them
-    if b2 is None or len(names2) != n or at.keys() - names2:
+    if b2 is None or len(names2) != len(at) or at.keys() - names2:
         _raise_unmatched(at, quants, names2)
-    return order, b1, at, names2, b2
+    return b1, at, names2, b2
 
 
 def default_names(n: int) -> tuple[str, ...]:

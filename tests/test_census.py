@@ -22,11 +22,10 @@ from prenex import (
     implies,
     oracle_implies,
     reachability_bitsets,
-    topological_order,
 )
 from prenex.census import _implied_count
 from prenex.decide import _core
-from prenex.oracle import _explore, _members, _unpack
+from prenex.oracle import _bits_of, _explore, _members, _unpack
 from support import all_raw_prefixes, all_raw_states, fubini
 
 
@@ -115,16 +114,23 @@ def test_graph_at_n2_has_ten_edges():
 
 
 def test_graph_is_acyclic_up_to_n5():
+    # every edge lowers the quantifier word, so ascending word order is a
+    # topological order
     for n in range(1, 6):
         g = build_graph(n)
-        order = topological_order(g)
-        position = {u: i for i, u in enumerate(order)}
-        assert all(position[u] < position[v] for u, v in g.edges)
-    # and the order refuses a graph that has a cycle
+        words = [_bits_of(cls.rep.bits) for cls in g.vertices]
+        assert all(words[v] < words[u] for u, v in g.edges)
+
+
+def test_reachability_refuses_an_edge_that_does_not_lower_the_word():
     vertices = tuple(cls for cls, _ in enumerate_classes(1))
+    assert [cls.text for cls in vertices] == ["A x1", "E x1"]
     cycle = ImplicationGraph(1, vertices, frozenset({(0, 1), (1, 0)}), (1, 1))
-    with pytest.raises(ValueError, match="implication graph contains a cycle"):
-        topological_order(cycle)
+    # acyclic, but E x1 -> A x1 raises the word
+    raising = ImplicationGraph(1, vertices, frozenset({(1, 0)}), (1, 1))
+    for g in (raising, cycle):
+        with pytest.raises(ValueError, match="does not lower the quantifier word"):
+            reachability_bitsets(g)
 
 
 def test_no_self_loops():

@@ -35,6 +35,7 @@ from prenex.decide import (
     _position_table,
     _text_verdict,
 )
+from prenex.prefix import _read
 from support import (
     all_raw_prefixes,
     all_raw_states,
@@ -639,10 +640,12 @@ def test_text_path_never_parses_with_sorted_names(monkeypatch):
     pairs += [(lhs, rhs), (lhs, lhs), ("E x1 A x2", "A x2 E x1"), ("E x", "A x")]
     expected = [text_outcome(reference_text_verdict, *pair) for pair in pairs]
 
-    def universe(text):
-        raise AssertionError("the text path parsed with sorted names")
+    def read(text, sort):
+        if sort:
+            raise AssertionError("the text path parsed with sorted names")
+        return _read(text, sort)
 
-    monkeypatch.setattr("prenex.prefix._universe", universe)
+    monkeypatch.setattr("prenex.prefix._read", read)
     assert [text_outcome(_text_verdict, *pair) for pair in pairs] == expected
 
 

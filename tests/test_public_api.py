@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "random_prefix",
     "reachability_bitsets",
     "runs",
-    "topological_order",
     "validate_witness",
 ]
 
@@ -53,7 +52,7 @@ MODULES = ["prefix", "decide", "oracle", "census", "errors"]
 
 
 def test_all_is_the_pinned_list_without_duplicates():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(prenex.__all__) == PUBLIC_NAMES
     assert len(set(prenex.__all__)) == len(prenex.__all__)
 
