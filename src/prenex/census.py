@@ -136,7 +136,7 @@ def reachability_bitsets(g: ImplicationGraph) -> list[int]:
     lower the word (every edge on a cycle is one) raises ``ValueError``.
     """
     count = len(g.vertices)
-    words = [_bits_of(cls.rep.bits) for cls in g.vertices]
+    words = [_bits_of(cls.rep.b) for cls in g.vertices]
     adjacency: list[list[int]] = [[] for _ in range(count)]
     for u, v in g.edges:
         if words[v] >= words[u]:

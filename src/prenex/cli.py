@@ -162,7 +162,7 @@ def run_bench(sizes: list[int], seed: int, reps: int) -> list[dict]:
         digest = hashlib.sha256()
         for p in (s1, s2):
             digest.update(array("q", p.sigma).tobytes())
-            digest.update(p.bits)
+            digest.update(p.b)
         verdict, stats = decide_with_stats(s1, s2)
         times = []
         gc_was_enabled = gc.isenabled()

@@ -9,13 +9,12 @@ are fatal and produce a witnessed reject:
 * case 4 - both sides are universal but an unverified existential element
   still sits behind the variable on the left (tracked by the F pointer).
 
-Every stage reads the quantifiers as ``Prefix.bits``, one byte per position
-(0 existential, 1 universal), and never builds the ``b`` tuple view.  Every
-stage also tests the two cases as one condition: with J the s1 position of
-the step variable and F the largest existential s1 position not yet placed,
-a universal s2 step rejects when F >= J.  That is case 4 when J is universal
-(F > J) and case 5 when J is existential, since an unplaced existential J
-never lies above F.
+Every stage reads the quantifiers as ``Prefix.b``, one byte per position
+(0 existential, 1 universal).  Every stage also tests the two cases as one
+condition: with J the s1 position of the step variable and F the largest
+existential s1 position not yet placed, a universal s2 step rejects when
+F >= J.  That is case 4 when J is universal (F > J) and case 5 when J is
+existential, since an unplaced existential J never lies above F.
 
 ``_core`` is the reference semantics: a position table for sigma1, then
 ``_scan``, a backward loop over s2 with a verified bitmap and an F pointer
@@ -233,7 +232,7 @@ def _decide_text(
 def _verdict(s1: Prefix, s2: Prefix) -> tuple[Verdict, int, int]:
     """:func:`implies`'s verdict, with the ``i`` and ``f`` it came from."""
     ensure_same_universe(s1, s2)
-    case_id, i, f = _decide(s1.sigma, s1.bits, s2.sigma, s2.bits)
+    case_id, i, f = _decide(s1.sigma, s1.b, s2.sigma, s2.b)
     if case_id == 0:
         return Verdict(True), i, f
     witness = RejectWitness(case_id, i, s2.sigma[i], f if case_id == 4 else None)
@@ -245,7 +244,7 @@ def decide_with_stats(s1: Prefix, s2: Prefix) -> tuple[Verdict, DecideStats]:
     verdict, i, f = _verdict(s1, s2)
     n = s1.n
     loop_steps = n if verdict.accepted else n - i
-    return verdict, DecideStats(n, loop_steps, _f_start(s1.bits) - f)
+    return verdict, DecideStats(n, loop_steps, _f_start(s1.b) - f)
 
 
 def implies(s1: Prefix, s2: Prefix) -> Verdict:
@@ -283,25 +282,25 @@ def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
     the case conditions hold: case 5 needs an existential left quantifier and
     a universal right one; case 4 needs universal quantifiers on both sides
     and an existential position ``blocking_f`` behind the variable in s1.
-    Raises what :func:`implies` raises for a pair over two universes.
+    A position that is not an integer, such as 2.5 or "2", witnesses
+    nothing.  Raises what :func:`implies` raises for a pair over two
+    universes.
     """
     ensure_same_universe(s1, s2)
     w = verdict.witness
     if verdict.accepted or w is None:
         return False
-    if not 0 <= w.s2_position < s2.n or s2.sigma[w.s2_position] != w.variable:
+    i, f = w.s2_position, w.blocking_f
+    if not hasattr(i, "__index__") or not 0 <= i < s2.n or s2.sigma[i] != w.variable:
         return False
     j = s1.sigma.index(w.variable)
-    q1 = s1.bits[j]
-    q2 = s2.bits[w.s2_position]
     if w.case_id == 5:
-        return q1 == Quantifier.EXISTS and q2 == Quantifier.FORALL and w.blocking_f is None
+        return s1.b[j] == Quantifier.EXISTS and s2.b[i] == Quantifier.FORALL and f is None
     if w.case_id == 4:
         return (
-            q1 == Quantifier.FORALL
-            and q2 == Quantifier.FORALL
-            and w.blocking_f is not None
-            and j < w.blocking_f < s1.n
-            and s1.bits[w.blocking_f] == Quantifier.EXISTS
+            s1.b[j] == s2.b[i] == Quantifier.FORALL
+            and hasattr(f, "__index__")
+            and j < f < s1.n
+            and s1.b[f] == Quantifier.EXISTS
         )
     return False

@@ -61,7 +61,7 @@ def _bits_of(bits: bytes) -> int:
 
 def _pack(p: Prefix) -> int:
     """``p`` as one packed state: a nibble per sigma slot, quantifier bits above."""
-    state = _bits_of(p.bits) << (4 * p.n)
+    state = _bits_of(p.b) << (4 * p.n)
     for i, v in enumerate(p.sigma):
         state |= v << (4 * i)
     return state
@@ -139,7 +139,7 @@ def _members(p: Prefix) -> list[int]:
         ]
         for r in runs(p)
     ]
-    base = _bits_of(p.bits) << (4 * p.n)
+    base = _bits_of(p.b) << (4 * p.n)
     return [base + sum(parts) for parts in product(*blocks)]
 
 
@@ -196,10 +196,10 @@ def oracle_implies(s1: Prefix, s2: Prefix, max_n: int = ORACLE_CAP) -> bool:
     _check_cap(s1.n, max_n)
     # Return before listing s2's class (up to n! states) when the root is in
     # it, or when no move sequence from the root can reach a class of its word.
-    if s1.bits == s2.bits and equivalent(s1, s2):
+    if s1.b == s2.b and equivalent(s1, s2):
         return True
-    floor = _bits_of(s2.bits)
-    if not _can_reach(_bits_of(s1.bits), floor):
+    floor = _bits_of(s2.b)
+    if not _can_reach(_bits_of(s1.b), floor):
         return False
     found, _ = _explore(s1, targets=set(_members(s2)), floor=floor)
     return found

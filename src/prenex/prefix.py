@@ -2,11 +2,10 @@
 
 A prefix over n variables is an ordered list ``sigma`` (a permutation of
 ``0..n-1`` giving the variable order) together with a quantifier string,
-stored once as ``bits``: one byte per position, 0 for an existential and 1
-for a universal, quantifying the variable at that position.  ``b`` is a tuple
-view of ``Quantifier`` members over those bytes.  Variable indices are
-tied to names through the ``names`` tuple: ``names[v]`` is the name of
-variable index ``v``, and the parser assigns indices by ascending
+stored as the ``bytes`` ``b``: one byte per position, 0 for an existential
+and 1 for a universal, quantifying the variable at that position.  Variable
+indices are tied to names through the ``names`` tuple: ``names[v]`` is the
+name of variable index ``v``, and the parser assigns indices by ascending
 lexicographic order of the names so that both sides of a pair share one
 universe.  ``_text_pair`` reads a pair for the CLI's ``check`` and ``batch``
 instead: the left text's names in their own order, with no sort, and the
@@ -84,32 +83,26 @@ def _valid_names(text: str) -> bool:
     )
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False)
 class Prefix:
     """Immutable raw prefix: variable order ``sigma``, quantifiers ``b``, ``names``.
 
     ``sigma`` must be a permutation of ``0..n-1`` with n >= 1; ``names`` must be
-    distinct and nonempty.  Instances are hashable and safe to share.
-
-    The quantifiers are stored once, in ``bits``: one byte per position, 0 for
-    EXISTS and 1 for FORALL.  ``b`` is a tuple view of Quantifier members over
-    those bytes, built on the first read of ``b`` and kept; the decider reads
-    ``bits`` and never builds it.  The constructor takes ``b`` as 0/1
-    ``bytes``, which it stores as they are, or as Quantifier members or 0/1
-    ints, which it stores as bytes: no prefix holds the view until ``b`` is
-    read.
+    distinct and nonempty.  ``b`` holds the quantifiers as ``bytes``, one byte
+    per position, 0 for EXISTS and 1 for FORALL.  The constructor takes ``b``
+    as 0/1 ``bytes``, which it stores as they are, or as Quantifier members or
+    0/1 ints, which it stores as bytes.  Instances are hashable and safe to
+    share.
 
     Direct construction checks every one of these invariants.  The parsers
     build their results without repeating the checks, because parsing has
     already established each of them.
     """
 
-    # Slots keep a prefix as small as the tuple-field layout was, bytes
-    # included; ``_view`` holds ``b`` once it is built.
-    __slots__ = ("sigma", "bits", "names", "_view", "__weakref__")
-    __match_args__ = ("sigma", "b", "names")
+    # Slots keep a prefix to its three fields, with no per-instance dict.
+    __slots__ = ("sigma", "b", "names", "__weakref__")
     sigma: tuple[int, ...]
-    bits: bytes
+    b: bytes
     names: tuple[str, ...]
 
     def __init__(
@@ -122,7 +115,7 @@ class Prefix:
             # an integer other than 0 and 1
             b = bytes(map(Quantifier, map(operator.index, b)))
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "bits", b)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "names", names)
         n = len(sigma)
         if n == 0:
@@ -138,29 +131,13 @@ class Prefix:
             raise ValueError("variable names must be nonempty and distinct")
 
     @property
-    def b(self) -> tuple[Quantifier, ...]:
-        """The quantifiers as Quantifier members: a tuple view over ``bits``."""
-        try:
-            return self._view
-        except AttributeError:
-            view = tuple(map(_QUANTS.__getitem__, self.bits))
-            object.__setattr__(self, "_view", view)
-            return view
-
-    @property
     def n(self) -> int:
         return len(self.sigma)
 
     def __reduce__(self):
         # Rebuilt through the checking constructor: the frozen __setattr__
         # refuses pickle's default slot-by-slot restore.
-        return Prefix, (self.sigma, self.bits, self.names)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(sigma={self.sigma!r}, b={self.b!r}, "
-            f"names={self.names!r})"
-        )
+        return Prefix, (self.sigma, self.b, self.names)
 
     def __str__(self) -> str:
         return format_prefix(self)
@@ -192,12 +169,12 @@ class CanonicalClass:
 def runs(p: Prefix) -> tuple[Run, ...]:
     """Decompose ``p`` into its maximal constant-quantifier runs, in order."""
     out = []
-    bits = p.bits
-    n = len(bits)
+    b = p.b
+    n = len(b)
     start = 0
     while start < n:
-        q = bits[start]
-        stop = bits.find(1 - q, start)  # the run ends at the other quantifier
+        q = b[start]
+        stop = b.find(1 - q, start)  # the run ends at the other quantifier
         if stop < 0:
             stop = n
         out.append(Run(start, stop - start, _QUANTS[q]))
@@ -214,7 +191,7 @@ def canonicalize(p: Prefix) -> CanonicalClass:
     for r in runs(p):
         stop = r.start + r.length
         sigma[r.start:stop] = sorted(sigma[r.start:stop])
-    return CanonicalClass(Prefix(tuple(sigma), p.bits, p.names))
+    return CanonicalClass(Prefix(tuple(sigma), p.b, p.names))
 
 
 def ensure_same_universe(p1: Prefix, p2: Prefix) -> None:
@@ -246,7 +223,7 @@ def equivalent(p1: Prefix, p2: Prefix) -> bool:
 def format_prefix(p: Prefix) -> str:
     """Canonical ASCII text: 'A'/'E' and name tokens, single-space separated."""
     names = p.names
-    return " ".join(f"{_LETTERS[q]} {names[v]}" for q, v in zip(p.bits, p.sigma))
+    return " ".join(f"{_LETTERS[q]} {names[v]}" for q, v in zip(p.b, p.sigma))
 
 
 def _split(text: str) -> tuple[list[str], list[str]]:
@@ -320,13 +297,13 @@ def _raise_unmatched(
     )
 
 
-def _trusted(sigma: tuple[int, ...], bits: bytes, names: tuple[str, ...]) -> Prefix:
+def _trusted(sigma: tuple[int, ...], b: bytes, names: tuple[str, ...]) -> Prefix:
     """A Prefix built without ``__init__``, for fields that the parser has
-    proved valid: n >= 1, distinct valid names, ``bits`` of 0/1 bytes, and
+    proved valid: n >= 1, distinct valid names, ``b`` of 0/1 bytes, and
     ``sigma`` a permutation of ``0..n-1``."""
     p = object.__new__(Prefix)
     object.__setattr__(p, "sigma", sigma)
-    object.__setattr__(p, "bits", bits)
+    object.__setattr__(p, "b", b)
     object.__setattr__(p, "names", names)
     return p
 

@@ -71,7 +71,7 @@ class Move:
 
 def applicable_moves(p: Prefix) -> list[Move]:
     """All moves that apply to ``p``, in a fixed deterministic order."""
-    bits = p.bits
+    bits = p.b
     out = [Move(MoveKind.FLIP, i) for i, q in enumerate(bits) if q]
     for i in range(p.n - 1):
         if bits[i] == bits[i + 1]:
@@ -87,7 +87,7 @@ def apply_move(p: Prefix, move: Move) -> Prefix:
     if not 0 <= i < p.n - (move.kind is not MoveKind.FLIP):
         raise ValueError(f"{move.kind.value} position {i} is out of range at n={p.n}")
     sigma = list(p.sigma)
-    bits = list(p.bits)
+    bits = list(p.b)
     if move.kind is MoveKind.FLIP:
         if not bits[i]:
             raise ValueError(f"flip needs a universal at position {i}")

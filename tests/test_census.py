@@ -118,7 +118,7 @@ def test_graph_is_acyclic_up_to_n5():
     # topological order
     for n in range(1, 6):
         g = build_graph(n)
-        words = [_bits_of(cls.rep.bits) for cls in g.vertices]
+        words = [_bits_of(cls.rep.b) for cls in g.vertices]
         assert all(words[v] < words[u] for u, v in g.edges)
 
 

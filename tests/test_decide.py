@@ -17,11 +17,9 @@ from prenex import (
     Verdict,
     decide_with_stats,
     default_names,
-    enumerate_classes,
     equivalent,
     format_prefix,
     implies,
-    oracle_implies,
     parse_prefix,
     parse_prefix_pair,
     random_prefix,
@@ -42,7 +40,6 @@ from support import (
     make_prefix,
     prefix_text_pairs,
     run_python,
-    successors,
 )
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
@@ -105,6 +102,11 @@ def test_validate_witness_rejects_forged_witnesses():
         Verdict(False, replace(w, variable=10 * s1.n)),
         Verdict(False, replace(w, s2_position=-1)),
         Verdict(False, replace(w, s2_position=s2.n)),
+        # a position that is no integer witnesses nothing
+        Verdict(False, RejectWitness(4, 3, 1, 2.5)),
+        Verdict(False, RejectWitness(4, 3.0, 1, 2)),
+        Verdict(False, RejectWitness(5, 1.5, 1)),
+        Verdict(False, RejectWitness(4, 3, 1, "2")),
     ]
     for verdict in forged:
         assert validate_witness(s1, s2, verdict) is False, verdict
@@ -165,7 +167,7 @@ def test_equivalence_compatibility_random():
         # shuffle inside each run: stays in the same class
         start = 0
         for i in range(1, n + 1):
-            if i == n or p.b[i] is not p.b[start]:
+            if i == n or p.b[i] != p.b[start]:
                 chunk = sigma[start:i]
                 rng.shuffle(chunk)
                 sigma[start:i] = chunk
@@ -236,7 +238,7 @@ def test_implies_builds_no_stats(monkeypatch, n):
     # threshold, and from the first-step lookup (rejects) and the kernel
     # (the accept, as s2 ends existential) at it
     s1 = make_prefix(range(n), [1 - k % 2 for k in range(n)])  # A E A E ...
-    f = s1.bits.rfind(0)
+    f = s1.b.rfind(0)
     expected = [
         (s1, Verdict(True)),
         (first_step_reject(s1, s1, 5), Verdict(False, RejectWitness(5, n - 1, 1))),
@@ -257,38 +259,6 @@ def test_decider_not_fooled_by_uncanonical_input():
     assert implies(s1, s2).accepted
     s1, s2 = parse_prefix_pair("E x2 E x1", "E x1 E x2")
     assert implies(s1, s2).accepted
-
-
-@pytest.mark.parametrize("n", [5, _SCATTER_THRESHOLD])
-def test_decisions_never_build_the_tuple_view(n):
-    # the reference loop, the first-step lookup (a reject) and the kernel
-    # (accept) read the packed bytes; oracle_implies and the reference
-    # moves in tests/support.py read them too, and successors are built
-    # from bytes
-    texts = [" ".join(f"{q} {name}" for name in default_names(n)) for q in "EA"]
-    for lhs, rhs in ((texts[0], texts[1]), (texts[1], texts[1])):
-        s1, s2 = parse_prefix_pair(lhs, rhs)
-        decide_with_stats(s1, s2)
-        if n <= 5:
-            oracle_implies(s1, s2)
-        built = successors(s1) | successors(s2)
-        # ``_view`` is the slot that holds ``b`` once it is built
-        for p in (s1, s2, *built):
-            assert not hasattr(p, "_view")
-    # nor does a prefix built from Quantifier members or 0/1 ints, or a
-    # census representative; each builds its view on the first read of b
-    members = [Quantifier(k % 3 == 0) for k in range(n)]
-    ints = [k % 2 for k in range(n)]
-    unread = [
-        (Prefix(range(n), members, default_names(n)), tuple(members)),
-        (Prefix(range(n), ints, default_names(n)), tuple(ints)),
-        (s1, (Quantifier.FORALL,) * n),
-    ]
-    unread += [(cls.rep, tuple(cls.rep.bits)) for cls, _ in enumerate_classes(3)]
-    for p, want in unread:
-        assert not hasattr(p, "_view")
-        view = p.b
-        assert view == want and p.b is view and p._view is view
 
 
 def test_numpy_loads_only_for_large_decisions():
@@ -321,7 +291,7 @@ def test_numpy_loads_only_for_large_decisions():
 
 def raw(s1, s2):
     """The private stages' arguments: sigmas and packed quantifier bytes."""
-    return s1.sigma, s1.bits, s2.sigma, s2.bits
+    return s1.sigma, s1.b, s2.sigma, s2.b
 
 
 def assert_stages_match_core(sigma1, b1, sigma2, b2):
@@ -343,7 +313,7 @@ def assert_verdict_matches_core(s1, s2):
     verdict, stats = decide_with_stats(s1, s2)
     assert implies(s1, s2) == verdict
     assert verdict.accepted == (case_id == 0)
-    assert stats.rescan_steps == s1.bits.rfind(0) - f
+    assert stats.rescan_steps == s1.b.rfind(0) - f
     assert stats.loop_steps == (s1.n - i if case_id else s1.n)
     if case_id:
         w = verdict.witness
@@ -449,11 +419,11 @@ def first_step_reject(s1, s2, case_id):
     """s2 with its last position made universal and given the first variable
     that s1 quantifies existentially (case 5), or universally in front of
     s1's last existential (case 4), so that the scan rejects at once."""
-    f = s1.bits.rfind(0)
+    f = s1.b.rfind(0)
     j = next(
-        j for j, q in enumerate(s1.bits) if (q and j < f if case_id == 4 else not q)
+        j for j, q in enumerate(s1.b) if (q and j < f if case_id == 4 else not q)
     )
-    sigma, bits = list(s2.sigma), [int(q) for q in s2.bits]
+    sigma, bits = list(s2.sigma), [int(q) for q in s2.b]
     k = sigma.index(s1.sigma[j])
     sigma[k], sigma[-1] = sigma[-1], sigma[k]
     bits[-1] = 1
@@ -552,7 +522,7 @@ def decide_family_pairs(rng, n):
     pairs = [(s1, moved), (s1, random_prefix(n, rng, s1.names))]
     if n >= 8:
         t1, t2 = burst_pair(rng, n)
-        pairs.append(tuple(make_prefix(p.sigma, p.bits, s1.names) for p in (t1, t2)))
+        pairs.append(tuple(make_prefix(p.sigma, p.b, s1.names) for p in (t1, t2)))
     for case_id in (5, 4):
         # StopIteration: no variable fits the case at this n
         with suppress(StopIteration):

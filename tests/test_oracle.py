@@ -131,8 +131,8 @@ def test_strict_progress_measure():
     # (#foralls, sum of forall positions); same-run swaps leave both alone
     def measure(p):
         return (
-            sum(1 for q in p.b if q is A),
-            sum(i for i, q in enumerate(p.b) if q is A),
+            sum(1 for q in p.b if q == A),
+            sum(i for i, q in enumerate(p.b) if q == A),
         )
 
     for n in (1, 2, 3, 4):

@@ -19,7 +19,9 @@ from prenex import (
     Run,
     VariableSetMismatchError,
     canonicalize,
+    closure,
     default_names,
+    enumerate_classes,
     equivalent,
     format_prefix,
     implies,
@@ -47,13 +49,13 @@ def prefixes(draw, max_n=8):
 def test_parse_pair_assigns_shared_indices():
     lhs, rhs = parse_prefix_pair("A x1 E x2", "E x2 A x1")
     assert lhs.names == ("x1", "x2")
-    assert lhs.sigma == (0, 1) and lhs.b == (A, E)
-    assert rhs.sigma == (1, 0) and rhs.b == (E, A)
+    assert lhs.sigma == (0, 1) and lhs.b == bytes((A, E))
+    assert rhs.sigma == (1, 0) and rhs.b == bytes((E, A))
 
 
 def test_parse_accepts_unicode_quantifiers():
     lhs, rhs = parse_prefix_pair("∀ x1", "∃ x1")
-    assert lhs.b == (A,) and rhs.b == (E,)
+    assert lhs.b == bytes((A,)) and rhs.b == bytes((E,))
 
 
 def test_parse_indices_follow_name_order_not_appearance():
@@ -124,9 +126,10 @@ def test_prefix_constructor_validates():
         make_prefix([], [])
 
 
-def test_prefix_boxes_int_bits_to_quantifier_singletons():
+def test_prefix_stores_int_and_member_quantifiers_as_bytes():
     p = Prefix((1, 0), (0, 1), ("x1", "x2"))
-    assert p.b[0] is Quantifier.EXISTS and p.b[1] is Quantifier.FORALL
+    assert type(p.b) is bytes and p.b == b"\x00\x01"
+    assert p.b[0] == Quantifier.EXISTS and p.b[1] == Quantifier.FORALL
     assert p == Prefix((1, 0), (Quantifier.EXISTS, Quantifier.FORALL), ("x1", "x2"))
 
 
@@ -138,34 +141,54 @@ def test_prefix_value_semantics():
         Prefix((1, 0), (0, 1), ("x1", "x2")),
         Prefix((1, 0), packed, ("x1", "x2")),
     ]
-    assert built[-1].bits is packed  # stored as it is
+    assert built[-1].b is packed  # stored as it is
     for p in built:
         assert p == parsed and hash(p) == hash(parsed)
     assert len({parsed, *built}) == 1
     assert parsed != Prefix((1, 0), (E, E), ("x1", "x2"))
-    # the dataclass repr of the tuple-field layout, character for character
-    expected_repr = (
-        "Prefix(sigma=(1, 0), b=(<Quantifier.EXISTS: 0>, <Quantifier.FORALL: 1>),"
-        " names=('x1', 'x2'))"
-    )
+    # the dataclass repr, character for character
+    expected_repr = "Prefix(sigma=(1, 0), b=b'\\x00\\x01', names=('x1', 'x2'))"
     assert [repr(p) for p in (parsed, *built)] == [expected_repr] * 4
     assert repr(canonicalize(parsed)) == f"CanonicalClass(rep={expected_repr})"
-    # round trips, both before and after the tuple view is built
-    for p in (parse_prefix("E x2 A x1"), parsed):
+    for p in (parsed, *built):
         copies = [pickle.loads(pickle.dumps(p, proto)) for proto in range(6)]
         for again in (*copies, copy.deepcopy(p), copy.copy(p)):
             assert again == p and hash(again) == hash(p)
-            assert again.bits == packed and again.b == (E, A)
+            assert type(again.b) is bytes and again.b == packed
         assert weakref.ref(p)() is p
-    for field in ("sigma", "b", "bits", "names"):
+    for field in ("sigma", "b", "names"):
         with pytest.raises(FrozenInstanceError):
             setattr(parsed, field, getattr(parsed, field))
         with pytest.raises(FrozenInstanceError):
             delattr(parsed, field)
-    for p in (parsed, *built):
-        assert type(p.b) is tuple and p.b == (E, A)
-        assert p.b[0] is Quantifier.EXISTS and p.b[1] is Quantifier.FORALL
-        assert p.b is p.b  # built once
+    # the one stored quantifier field, under one name everywhere
+    assert Prefix.__slots__ == ("sigma", "b", "names", "__weakref__")
+    assert Prefix.__match_args__ == ("sigma", "b", "names")
+
+
+def test_every_built_prefix_holds_quantifier_bytes():
+    # each way the package builds a prefix stores ``b`` as bytes of 0 and 1,
+    # with no second copy of the quantifiers
+    n = 4
+    names = default_names(n)
+    members = [Quantifier(k % 3 == 0) for k in range(n)]
+    s1 = parse_prefix("A x1 E x2 A x3 A x4")
+    built = [
+        s1,
+        *parse_prefix_pair("E x3 A x1 E x4 A x2", "A x4 E x3 A x2 E x1"),
+        canonicalize(parse_prefix("A x4 A x2 E x3 E x1")).rep,
+        *(cls.rep for cls in closure(s1)),
+        *(cls.rep for cls, _ in enumerate_classes(3)),
+        random_prefix(n, random.Random(4)),
+        Prefix(range(n), members, names),
+        Prefix(range(n), [int(q) for q in members], names),
+        Prefix(range(n), bytes(members), names),
+    ]
+    built += [pickle.loads(pickle.dumps(p)) for p in built]
+    built += [copy.copy(p) for p in built] + [copy.deepcopy(p) for p in built]
+    for p in built:
+        assert type(p.b) is bytes and not p.b.translate(None, b"\x00\x01"), p
+        assert len(p.b) == p.n and not hasattr(p, "__dict__"), p
 
 
 # --- parse parity with the per-pair reference parser ------------------------
@@ -201,7 +224,7 @@ def _ref_scan(text):
 def _ref_build(pairs, names):
     index = {name: v for v, name in enumerate(names)}
     sigma = tuple(index[name] for name, _ in pairs)
-    return sigma, tuple(Quantifier(bit) for _, bit in pairs), names, {Quantifier}
+    return sigma, bytes(bit for _, bit in pairs), names, bytes
 
 
 def _ref_parse(text):
@@ -225,8 +248,8 @@ def _ref_parse_pair(lhs_text, rhs_text):
 
 
 def _fields(p):
-    """Fields of a parsed prefix, with the set of its quantifiers' types."""
-    return p.sigma, p.b, p.names, set(map(type, p.b))
+    """Fields of a parsed prefix, with the type of its quantifiers."""
+    return p.sigma, p.b, p.names, type(p.b)
 
 
 def _outcome(parse, *texts):
@@ -339,10 +362,9 @@ def test_large_pairs_match_reference_parser(n):
 
 def _assert_fully_valid(p):
     """``p`` survives the public constructor's checks unchanged, and its
-    quantifiers are the enum members themselves, not equal ints."""
+    quantifiers are ``bytes`` of 0 and 1 only."""
     assert p == Prefix(p.sigma, p.b, p.names)
-    assert all(q is A or q is E for q in p.b)
-    assert type(p.bits) is bytes and p.bits == bytes(p.b)
+    assert type(p.b) is bytes and not p.b.translate(None, b"\x00\x01")
 
 
 @given(prefix_texts())

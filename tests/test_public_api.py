@@ -1,7 +1,10 @@
-"""The package's public surface: exactly the names its modules publish."""
+"""The package's public surface: exactly the names its modules publish, and
+the README's library example."""
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import prenex
 
@@ -77,3 +80,18 @@ def test_star_import_binds_exactly_the_public_names():
     namespace.pop("__builtins__")
     assert sorted(namespace) == PUBLIC_NAMES
     assert all(namespace[name] is getattr(prenex, name) for name in namespace)
+
+
+def test_readme_example_gives_what_its_comments_say():
+    # each ``# <expr> -> <value>`` comment in a python block of the README
+    # is checked against ``repr(<expr>)`` after the block has run
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for code in blocks:
+        namespace = {}
+        exec(code, namespace)
+        claims = re.findall(r"^# (.+?) -> (.+)$", code, re.M)
+        assert claims, code
+        for expr, value in claims:
+            assert repr(eval(expr, namespace)) == value, expr
