@@ -5,10 +5,14 @@ each run (order inside a run is immaterial), so classes are enumerated
 directly: each distinct arrangement of a quantifier word's run labels over
 the variables; no raw sweep is needed for the vertex set.  Edges do need
 every raw prefix: different members of one class reach different classes.
-The raw prefixes are the packed class members from the oracle, and the
-oracle's packed moves map each of them to its successors' classes.  Every
-edge lowers its source's quantifier word, so ascending word order is a
-topological order of the graph, and reachability runs in that order.
+A raw prefix is a quantifier word with a placement of the variables, and
+one table of class ids per word, over the n! placements, maps each raw
+prefix to its class; the flips and exists-forall swaps then join whole rows
+of that table.  Every edge lowers its source's quantifier word, so
+ascending word order is a topological order of the graph, and reachability
+runs in that order.  The census shares only ``_bits_of`` with the oracle:
+its moves are its own, and a test checks its edges against the readable
+moves of the test suite.
 
 The pair count is made two independent ways.  ``count_pairs`` sums closed
 forms over the 2^n quantifier words: renaming both sides keeps an
@@ -27,13 +31,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, permutations, product
+from itertools import chain, groupby, permutations, product
 from math import factorial, prod
 from typing import Iterable
 
 from .errors import InstanceTooLargeError
-from .oracle import _bits_of, _members, _moves
-from .prefix import CanonicalClass, Prefix, default_names
+from .oracle import _bits_of
+from .prefix import CanonicalClass, _trusted, default_names
 
 __all__ = [
     "CLASS_CAP",
@@ -108,24 +112,60 @@ def enumerate_classes(
         # each run's variables in ascending order.
         for where in sorted(set(permutations(labels))):
             sigma = tuple(sorted(range(n), key=where.__getitem__))
-            out.append((CanonicalClass(Prefix(sigma, bits, names)), mult))
+            out.append((CanonicalClass(_trusted(sigma, bits, names)), mult))
     out.sort(key=lambda item: item[0].text)
     return out
 
 
 def build_graph(n: int, cap: int = CLASS_CAP) -> ImplicationGraph:
-    """Materialize the class graph by applying every move to every raw prefix."""
+    """Materialize the class graph by applying every move to every raw prefix.
+
+    A raw prefix is a quantifier word w with a placement q, one of the n!
+    permutations ``permutations(range(n))``: ``q[v]`` is the position of
+    variable v.  Its class is fixed by w and the run that holds each
+    variable, so ``ids[w][r]`` is the class of w with the r-th placement.  A
+    flip keeps the placement, and an exists-forall swap at (i, i + 1)
+    exchanges the placements i and i + 1, so each move joins a whole row of
+    ``ids`` to another, the swap through one rank table per i.  Same-run
+    swaps never leave the class and need no work.
+    """
     classes = enumerate_classes(n, cap)
     vertices = tuple(cls for cls, _ in classes)
     multiplicity = tuple(mult for _, mult in classes)
-    index = {state: i for i, cls in enumerate(vertices) for state in _members(cls.rep)}
-    edges = set()
-    for state, u in index.items():
-        for nxt in _moves(state, n):
-            v = index[nxt]
-            if v != u:  # same-run swaps stay inside the class
-                edges.add((u, v))
-    return ImplicationGraph(n, vertices, frozenset(edges), multiplicity)
+    placements = list(map(bytes, permutations(range(n))))
+    # run_of[w] maps a position to its run in word w, as a bytes.translate
+    # table: it turns a placement into the run of each variable.
+    run_of = []
+    for w in range(1 << n):
+        word = ((w >> i) & 1 for i in range(n))
+        labels = [k for k, (_, run) in enumerate(groupby(word)) for _ in run]
+        run_of.append(bytes(labels).ljust(256, b"\0"))
+    # by_runs[w] maps the runs of a class of word w to the class's id.
+    by_runs: list[dict[bytes, int]] = [{} for _ in run_of]
+    for u, cls in enumerate(vertices):
+        w, sigma = _bits_of(cls.rep.b), cls.rep.sigma
+        placed = bytes(sorted(range(n), key=sigma.__getitem__))  # inverse of sigma
+        by_runs[w][placed.translate(run_of[w])] = u
+    ids = [
+        [index[q.translate(table)] for q in placements]
+        for index, table in zip(by_runs, run_of)
+    ]
+    rank = {q: r for r, q in enumerate(placements)}
+    swapped = []
+    for i in range(n - 1):
+        table = bytearray(range(256))
+        table[i], table[i + 1] = i + 1, i
+        swapped.append([rank[q.translate(table)] for q in placements])
+    pairs = []
+    for w, row in enumerate(ids):
+        for i in range(n):
+            if (w >> i) & 1:  # a flip at universal position i
+                pairs.append(zip(row, ids[w ^ 1 << i]))
+        for i in range(n - 1):
+            if (w >> i) & 3 == 2:  # exists at i, forall at i + 1
+                pairs.append(zip(row, map(ids[w ^ 3 << i].__getitem__, swapped[i])))
+    edges = frozenset(chain.from_iterable(pairs))
+    return ImplicationGraph(n, vertices, edges, multiplicity)
 
 
 def reachability_bitsets(g: ImplicationGraph) -> list[int]:

@@ -282,7 +282,8 @@ def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
     the case conditions hold: case 5 needs an existential left quantifier and
     a universal right one; case 4 needs universal quantifiers on both sides
     and an existential position ``blocking_f`` behind the variable in s1.
-    A position that is not an integer, such as 2.5 or "2", witnesses
+    Every field must be an ``int`` (``blocking_f`` may be None), and a
+    ``bool`` does not count: a witness holding 2.0, "2" or True witnesses
     nothing.  Raises what :func:`implies` raises for a pair over two
     universes.
     """
@@ -291,7 +292,10 @@ def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
     if verdict.accepted or w is None:
         return False
     i, f = w.s2_position, w.blocking_f
-    if not hasattr(i, "__index__") or not 0 <= i < s2.n or s2.sigma[i] != w.variable:
+    fields = (w.case_id, i, w.variable) if f is None else (w.case_id, i, w.variable, f)
+    if any(type(x) is not int for x in fields):
+        return False
+    if not 0 <= i < s2.n or s2.sigma[i] != w.variable:
         return False
     j = s1.sigma.index(w.variable)
     if w.case_id == 5:
@@ -299,7 +303,7 @@ def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:
     if w.case_id == 4:
         return (
             s1.b[j] == s2.b[i] == Quantifier.FORALL
-            and hasattr(f, "__index__")
+            and f is not None
             and j < f < s1.n
             and s1.b[f] == Quantifier.EXISTS
         )

@@ -24,9 +24,8 @@ census and a bare ``_explore`` keep the full search.
 Internally states are packed into single ints (one nibble per sigma slot,
 quantifier bits above), which keeps the visited set compact; that encoding
 tops out at 16 variables.  The moves open to a state depend on its word
-alone and are read from one cached table per word.  The census builds its
-class graph from the same packed moves and class members, and orders that
-graph by the same word.
+alone and are read from one cached table per word.  The census orders its
+class graph by the same word.
 """
 
 from __future__ import annotations

@@ -50,8 +50,9 @@ def all_raw_prefixes(n):
         yield Prefix(sigma, bits, names)
 
 
-# The readable reference for the sound moves.  The oracle and the census use
-# only the packed moves in prenex.oracle; tests check those against these.
+# The readable reference for the sound moves.  The oracle uses only the
+# packed moves in prenex.oracle, and the census its own moves over rows of
+# class ids; tests check both against these.
 
 
 class MoveKind(Enum):

@@ -20,13 +20,19 @@ from prenex import (
     enumerate_classes,
     export_graph,
     implies,
-    oracle_implies,
     reachability_bitsets,
 )
 from prenex.census import _implied_count
 from prenex.decide import _core
 from prenex.oracle import _bits_of, _explore, _members, _unpack
-from support import all_raw_prefixes, all_raw_states, fubini
+from support import (
+    MoveKind,
+    all_raw_prefixes,
+    all_raw_states,
+    applicable_moves,
+    apply_move,
+    fubini,
+)
 
 
 # --- class enumeration --------------------------------------------------------
@@ -62,7 +68,8 @@ def test_every_raw_prefix_lands_in_exactly_one_class():
         for p in all_raw_prefixes(n):
             hits[canonicalize(p).rep] += 1
         assert hits == index  # observed sizes equal declared multiplicities
-        # the packed members the census maps to each vertex are that class
+        # the oracle's packed members of each class (its search targets)
+        # are that class
         for rep, mult in index.items():
             members = {_unpack(state, n) for state in _members(rep)}
             assert len(members) == mult
@@ -165,12 +172,21 @@ def test_graph_reachability_matches_decider():
             assert {c.text for c in closure(src.rep)} == reached
 
 
-def test_graph_edges_match_oracle_single_moves():
-    # spot-check edge semantics: an edge (u, v) means some raw member of u
-    # reaches v, hence u implies v
-    g = build_graph(3)
-    for u, v in g.sorted_edges():
-        assert oracle_implies(g.vertices[u].rep, g.vertices[v].rep)
+def test_graph_edges_are_exactly_the_moves_that_leave_a_class():
+    # The graph does not use the oracle's packed moves, so the readable
+    # moves, applied to every raw prefix, check it edge for edge.
+    for n in range(1, 6):
+        g = build_graph(n)
+        index = {cls.rep: u for u, cls in enumerate(g.vertices)}
+        edges = set()
+        for p in all_raw_prefixes(n):
+            u = index[canonicalize(p).rep]
+            for move in applicable_moves(p):
+                v = index[canonicalize(apply_move(p, move)).rep]
+                assert (v == u) == (move.kind is MoveKind.SWAP_SAME), (p, move)
+                if v != u:
+                    edges.add((u, v))
+        assert edges == g.edges, n
 
 
 # --- pair census -----------------------------------------------------------------

@@ -107,9 +107,22 @@ def test_validate_witness_rejects_forged_witnesses():
         Verdict(False, RejectWitness(4, 3.0, 1, 2)),
         Verdict(False, RejectWitness(5, 1.5, 1)),
         Verdict(False, RejectWitness(4, 3, 1, "2")),
+        # every field must be an int, and a bool is none
+        Verdict(False, RejectWitness(4.0, 3, 1.0, 2)),
+        Verdict(False, RejectWitness(4, 3, True, 2)),
+        Verdict(False, RejectWitness(4, 3, 1, 2.0)),
+        Verdict(False, RejectWitness(4, 3, 1, True)),
     ]
     for verdict in forged:
         assert validate_witness(s1, s2, verdict) is False, verdict
+    s1, s2 = parse_prefix_pair("E x1 A x2 E x3 A x4", "A x4 E x1 A x2 A x3")
+    verdict = implies(s1, s2)
+    assert verdict.witness == RejectWitness(5, 3, 2)
+    assert validate_witness(s1, s2, verdict)
+    # a case 4 witness that holds, except that its variable is True
+    assert validate_witness(s1, s2, Verdict(False, RejectWitness(4, 2, 1, 2)))
+    for w in (RejectWitness(5.0, 3, 2.0, None), RejectWitness(4, 2, True, 2)):
+        assert validate_witness(s1, s2, Verdict(False, w)) is False, w
     # a witness that fits both sides certifies nothing over two universes:
     # the checker raises what implies raises
     s1 = make_prefix([0], [0], names=("x1",))

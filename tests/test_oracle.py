@@ -238,8 +238,8 @@ def _imported_modules(tree):
 
 
 def test_oracle_and_census_never_import_the_decider():
-    # the oracle certifies the decider, so neither it nor the census that
-    # shares its moves may reach decide.py
+    # the oracle certifies the decider, and the census graph's pair count
+    # certifies the closed form, so neither may reach decide.py
     package = Path(prenex.__file__).parent
     for module in ("oracle", "census"):
         tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
