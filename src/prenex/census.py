@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, permutations, product
 from math import factorial, prod
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InstanceTooLargeError
 from .oracle import _bits_of
@@ -92,6 +92,26 @@ def _check_cap(n: int, cap: int) -> None:
         raise InstanceTooLargeError(f"n={n} outside the supported range 1..{cap}")
 
 
+def _arrangements(labels: list[int]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of the sorted list ``labels``, once, in
+    ascending order: the next-permutation step, which never makes the
+    repeats that ``permutations`` would for equal labels."""
+    a = list(labels)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1  # the rightmost ascent a[i] < a[i + 1]
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last  # the rightmost label above a[i]
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
+
+
 def enumerate_classes(
     n: int, cap: int = CLASS_CAP
 ) -> list[tuple[CanonicalClass, int]]:
@@ -110,7 +130,7 @@ def enumerate_classes(
         labels = [k for k, size in enumerate(parts) for _ in range(size)]
         # where[v] is the run that holds variable v; a stable sort on it lists
         # each run's variables in ascending order.
-        for where in sorted(set(permutations(labels))):
+        for where in _arrangements(labels):
             sigma = tuple(sorted(range(n), key=where.__getitem__))
             out.append((CanonicalClass(_trusted(sigma, bits, names)), mult))
     out.sort(key=lambda item: item[0].text)

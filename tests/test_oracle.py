@@ -18,10 +18,11 @@ from prenex import (
     parse_prefix_pair,
     random_prefix,
 )
-from prenex.oracle import _explore, _moves, _pack, _sorted_runs, _unpack
+from prenex.oracle import _explore, _members, _pack, _sorted_runs, _unpack
 from support import (
     Move,
     MoveKind,
+    _moves,
     all_raw_prefixes,
     applicable_moves,
     apply_move,
@@ -105,7 +106,7 @@ def test_every_successor_is_accepted_by_decider():
 
 
 def test_packed_moves_match_successors():
-    # the table-driven packed generator shared by the oracle and the census
+    # the oracle's per-word packed move table, read one state at a time,
     # against the readable apply_move reference in tests/support.py
     for n in (1, 2, 3, 4, 5):
         for p in all_raw_prefixes(n):
@@ -195,6 +196,32 @@ def test_pruned_oracle_matches_full_reachability_on_every_raw_pair():
             _, visited = _explore(s1)
             for s2 in states:
                 assert oracle_implies(s1, s2) == (_pack(s2) in visited), (str(s1), str(s2))
+
+
+def test_explore_visits_the_closure_of_the_packed_moves():
+    # _explore inlines the packed moves; a plain BFS over support's _moves is
+    # its reference, for the full search and for a search toward a class
+    rng = random.Random(8)
+    for n in (1, 2, 3, 4):
+        prefixes = list(all_raw_prefixes(n))
+        for p in prefixes:
+            root = _pack(p)
+            reach = {root}
+            queue = [root]
+            for state in queue:
+                for nxt in _moves(state, n):
+                    if nxt not in reach:
+                        reach.add(nxt)
+                        queue.append(nxt)
+            assert _explore(p) == (False, reach), str(p)
+            for q in rng.sample(prefixes, min(6, len(prefixes))):
+                targets = set(_members(q))
+                if root in targets:
+                    continue
+                for floor in (None, _pack(q) >> (4 * n)):
+                    found, visited = _explore(p, targets, floor)
+                    assert found == (_pack(q) in reach), (str(p), str(q), floor)
+                    assert visited <= reach
 
 
 def test_oracle_cap_enforced():
