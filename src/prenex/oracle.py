@@ -1,52 +1,44 @@
-"""Brute-force reference decision by BFS over the raw prefix space.
+"""Brute-force reference decision by BFS over the equivalence classes.
 
-The three sound moves generate successors of a raw prefix; implication holds
-iff some member of the target's equivalence class is reachable.  The search
-runs over raw prefixes with a visited set and never canonicalizes a state.
-It is complete because same-run swaps are moves too: the visited set is
-closed under class membership, so a class is reached exactly when all of its
-members are visited.  ``oracle_implies`` therefore stops at the first member
-of the target's class it meets, and ``closure`` keeps one visited state per
-class, the one sorted inside each run.  State counts stay manageable under
-the size cap (n!*2^n is about 10.3M at n=8).
+The three sound moves act on raw prefixes: a flip makes a universal
+existential, an exists-forall swap exchanges an adjacent existential and
+universal, and a same-run swap reorders a run, which stays inside the
+class.  Implication holds iff the target's class is reachable.  The search
+runs over classes, each held as one key ``(word, m0, m1, ...)``: ``word``
+has bit i set when position i is universal, and ``m_k`` is the bitmask of
+the variables in run k.  Every member of a class gives the same key.
 
-``oracle_implies`` prunes by the quantifier word w, bit i set when position
-i is universal.  A flip clears one bit of w; an exists-forall swap turns
-bits (i, i+1) from (0, 1) into (1, 0), lowering w by 2^i; a same-run swap
-leaves w alone and stays inside the class.  So no move raises w or its
-popcount, and every move that leaves a class lowers w.  A state outside the
-target's class can reach that class only if its word is above the target's
-with no fewer universals; a state that fails this has no descendant that
-passes it, so leaving it unexpanded loses no path to the target.  Every
-visited state is still tested against the target, and ``closure`` and a
-bare ``_explore`` keep the full search.
+``_successors`` yields the classes one move away from a class, each once:
+- a flip in a universal run S picks the variable x that turns existential
+  and the subset T of S - x that stays before it, so the run becomes the
+  pieces T, x, S - x - T, and ``word`` loses bit ``start + |T|``;
+- an exists-forall swap picks x from an existential run P and y from the
+  universal run Q after it, so the two runs become P - x, y, x, Q - y, and
+  ``word`` exchanges bits ``start + |P| - 1`` and ``start + |P|``.
+Each move's pieces alternate quantifiers, and ``_join`` drops an empty
+piece and merges its two neighbours, which share a quantifier, into one
+run.  A universal run of length L has L*2^(L-1) flips and an existential
+run of length a before a universal run of length b has a*b swaps: the
+counts the census sums in closed form.
 
-Internally states are packed into single ints (one nibble per sigma slot,
-quantifier bits above), which keeps the visited set compact; that encoding
-tops out at 16 variables.  The moves open to a state depend on its word
-alone: one cached table per word holds them as XOR masks and nibble-swap
-terms.  The search inlines that arithmetic in its loop, reading each
-word's moves once per call into a local dict and queueing each successor
-where it is made, so no per-state call or successor list is left; the
-tests keep a one-state ``_moves`` over the same table as its reference.
+``oracle_implies`` prunes by the word.  A flip clears one bit of it; an
+exists-forall swap turns bits (i, i+1) from (0, 1) into (1, 0), lowering it
+by 2^i.  So no move out of a class raises the word or its popcount, and
+every such move lowers the word.  A class can reach the target's class
+only if its word is above the target's with no fewer universals; a class
+that fails this has no descendant that passes it, so leaving it unexpanded
+loses no path to the target.  Every visited class is still compared with
+the target, and ``closure`` and a bare ``_explore`` keep the full search.
 The census orders its class graph by the same word.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import cache
-from itertools import permutations, product
+from typing import Iterator
 
 from .errors import InstanceTooLargeError
-from .prefix import (
-    CanonicalClass,
-    Prefix,
-    _trusted,
-    ensure_same_universe,
-    equivalent,
-    runs,
-)
+from .prefix import CanonicalClass, Prefix, _trusted, ensure_same_universe
 
 __all__ = [
     "ORACLE_CAP",
@@ -55,7 +47,6 @@ __all__ = [
 ]
 
 ORACLE_CAP = 8
-_PACKING_CEILING = 16  # one nibble per sigma slot
 
 
 def _bits_of(bits: bytes) -> int:
@@ -63,130 +54,106 @@ def _bits_of(bits: bytes) -> int:
     return sum(q << i for i, q in enumerate(bits))
 
 
-def _pack(p: Prefix) -> int:
-    """``p`` as one packed state: a nibble per sigma slot, quantifier bits above."""
-    state = _bits_of(p.b) << (4 * p.n)
+def _key(p: Prefix) -> tuple[int, ...]:
+    """``p``'s class as ``(word, m0, m1, ...)``, ``m_k`` the variables of run k."""
+    b = p.b
+    masks = []
     for i, v in enumerate(p.sigma):
-        state |= v << (4 * i)
-    return state
+        if i and b[i] == b[i - 1]:
+            masks[-1] |= 1 << v
+        else:
+            masks.append(1 << v)
+    return (_bits_of(b), *masks)
 
 
-def _unpack(state: int, n: int) -> tuple[tuple[int, ...], bytes]:
-    sigma = tuple((state >> (4 * i)) & 15 for i in range(n))
-    word = state >> (4 * n)
-    return sigma, bytes((word >> i) & 1 for i in range(n))
+def _join(pieces: tuple[int, ...]) -> tuple[int, ...]:
+    """Runs from pieces of alternating quantifiers: an empty piece is dropped,
+    and its two neighbours, which share a quantifier, merge into one run."""
+    out = []
+    merge = False
+    for m in pieces:
+        if not m:
+            merge = bool(out)
+        elif merge:
+            out[-1] |= m
+            merge = False
+        else:
+            out.append(m)
+    return tuple(out)
 
 
-@cache
-def _word_moves(
-    word: int, n: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]]:
-    """The moves open to every packed state whose quantifier word is ``word``.
+def _bits(mask: int) -> Iterator[int]:
+    """The one-bit masks of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
-    Returns ``(flips, swaps)``.  ``flips`` holds one XOR mask per universal
-    position.  ``swaps`` holds, per adjacent pair that may swap, the two
-    nibble shifts ``4i`` and ``4i + 4``, the ``17 << 4i`` multiplier that
-    writes the two nibbles' difference back into both slots, and the
-    quantifier XOR (nonzero for an exists-forall pair, zero for a same-run
-    pair).  A move depends on the word alone, so there are at most 2^n
-    entries per n.
+
+def _successors(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every class one flip or exists-forall swap away from ``key``'s, once each.
+
+    A missing neighbour run enters ``_join`` as an empty piece, which it drops.
     """
-    shift = 4 * n
-    flips = tuple(1 << (shift + i) for i in range(n) if (word >> i) & 1)
-    swaps = []
-    for i in range(n - 1):
-        pair = (word >> i) & 3
-        if pair == 1:  # universal then existential: no move applies
-            continue
-        lo = 4 * i
-        # an existential-universal pair swaps quantifiers too
-        quant = 3 << (shift + i) if pair == 2 else 0
-        swaps.append((lo, lo + 4, 17 << lo, quant))
-    return flips, tuple(swaps)
-
-
-def _sorted_runs(state: int, n: int) -> bool:
-    """Whether ``state`` is ascending at every same-run pair: its class's
-    canonical member, the one state of the class that no move raises."""
-    for lo, hi, _, quant in _word_moves(state >> (4 * n), n)[1]:
-        if not quant and (state >> lo) & 15 > (state >> hi) & 15:
-            return False
-    return True
+    word = key[0]
+    last = len(key) - 1
+    start = 0
+    for i in range(1, last + 1):
+        run = key[i]
+        prev = key[i - 1] if i > 1 else 0
+        head = key[1 : i - 1]
+        if word >> start & 1:
+            after = key[i + 1] if i < last else 0
+            tail = key[i + 2 :]
+            for x in _bits(run):
+                rest = run ^ x
+                t = rest
+                while True:  # t walks every subset of rest, the part before x
+                    flipped = word ^ 1 << (start + t.bit_count())
+                    yield (flipped, *head, *_join((prev, t, x, rest ^ t, after)), *tail)
+                    if not t:
+                        break
+                    t = (t - 1) & rest
+        elif i < last:
+            nxt = key[i + 1]
+            after = key[i + 2] if i + 1 < last else 0
+            tail = key[i + 3 :]
+            swapped = word ^ 3 << (start + run.bit_count() - 1)
+            for x in _bits(run):
+                for y in _bits(nxt):
+                    yield (swapped, *head, *_join((prev, run ^ x, y, x, nxt ^ y, after)), *tail)
+        start += run.bit_count()
 
 
 def _can_reach(word: int, floor: int) -> bool:
-    """Whether a state of quantifier word ``word`` outside a class of word
-    ``floor`` can reach that class: no move raises a word or its popcount,
-    and every move that leaves a class lowers the word."""
+    """Whether a class of quantifier word ``word`` can reach another class
+    of word ``floor``: no move out of a class raises a word or its popcount,
+    and every such move lowers the word."""
     return word > floor and word.bit_count() >= floor.bit_count()
 
 
-def _members(p: Prefix) -> list[int]:
-    """Packed raw states of ``p``'s class: every order inside each run."""
-    blocks = [
-        [
-            sum(v << (4 * (r.start + k)) for k, v in enumerate(order))
-            for order in permutations(p.sigma[r.start : r.start + r.length])
-        ]
-        for r in runs(p)
-    ]
-    base = _bits_of(p.b) << (4 * p.n)
-    return [base + sum(parts) for parts in product(*blocks)]
-
-
 def _explore(
-    p: Prefix, targets: set[int] | frozenset[int] = frozenset(), floor: int | None = None
-) -> tuple[bool, set[int]]:
-    """BFS over packed raw states from ``p``; return ``(found, visited)``.
+    root: tuple[int, ...], target: tuple[int, ...] | None = None
+) -> tuple[bool, set[tuple[int, ...]]]:
+    """BFS over class keys from ``root``; return ``(found, visited)``.
 
-    ``found`` is whether some visited state lies in ``targets``; the search
-    stops at the first one, leaving ``visited`` partial.  Without an early
-    stop or a ``floor``, ``visited`` is every raw state reachable from the
-    root, and it is closed under class membership because same-run swaps are
-    moves: a class is reachable exactly when all of its members (its
-    canonical one among them) are in ``visited``.
-
-    ``floor`` is the quantifier word of a target class.  Every visited state
-    is still tested against ``targets``, but only states that can still
-    reach a class of that word (``_can_reach``) are expanded.  The root
-    itself is never tested: callers pass ``targets`` only when the root is
-    not among them.
-
-    The moves are inlined: each popped state's ``(flips, swaps)`` come from
-    a dict local to the call, filled from ``_word_moves`` the first time its
-    word is seen, and each successor is tested and queued where it is made,
-    with no successor list.  The queue is a deque of states waiting to be
-    expanded; a list read while it grows was as fast but held every
-    expanded state to the end (+5% peak RSS on an n = 8 closure).
+    Without a target, ``visited`` is every class reachable from the root,
+    the root's own among them.  With one, the search stops when it meets
+    the target, and expands only classes that can still reach a class of
+    the target's word (``_can_reach``); every visited class is still
+    compared with the target.  The root itself is never compared: callers
+    pass a target only when it is not the root.
     """
-    n = p.n  # a property: read once, not on every pop
-    shift = 4 * n
-    root = _pack(p)
+    floor = None if target is None else target[0]
     visited = {root}
     queue = deque((root,))
-    table = {}
     while queue:
-        state = queue.popleft()
-        word = state >> shift
-        moves = table.get(word)
-        if moves is None:
-            moves = table[word] = _word_moves(word, n)
-        flips, swaps = moves
-        for mask in flips:
-            nxt = state ^ mask
+        for nxt in _successors(queue.popleft()):
             if nxt not in visited:
                 visited.add(nxt)
-                if nxt in targets:
+                if nxt == target:
                     return True, visited
-                if floor is None or _can_reach(nxt >> shift, floor):
-                    queue.append(nxt)
-        for lo, hi, spread, quant in swaps:
-            nxt = state ^ (((state >> lo) ^ (state >> hi)) & 15) * spread ^ quant
-            if nxt not in visited:
-                visited.add(nxt)
-                if nxt in targets:
-                    return True, visited
-                if floor is None or _can_reach(nxt >> shift, floor):
+                if floor is None or _can_reach(nxt[0], floor):
                     queue.append(nxt)
     return False, visited
 
@@ -194,10 +161,6 @@ def _explore(
 def _check_cap(n: int, max_n: int) -> None:
     if n > max_n:
         raise InstanceTooLargeError(f"n={n} exceeds the oracle cap {max_n}")
-    if n > _PACKING_CEILING:
-        raise InstanceTooLargeError(
-            f"n={n} exceeds the packed-state ceiling {_PACKING_CEILING}"
-        )
 
 
 def oracle_implies(s1: Prefix, s2: Prefix, max_n: int = ORACLE_CAP) -> bool:
@@ -208,14 +171,12 @@ def oracle_implies(s1: Prefix, s2: Prefix, max_n: int = ORACLE_CAP) -> bool:
     """
     ensure_same_universe(s1, s2)
     _check_cap(s1.n, max_n)
-    # Return before listing s2's class (up to n! states) when the root is in
-    # it, or when no move sequence from the root can reach a class of its word.
-    if s1.b == s2.b and equivalent(s1, s2):
+    root, target = _key(s1), _key(s2)
+    if root == target:
         return True
-    floor = _bits_of(s2.b)
-    if not _can_reach(_bits_of(s1.b), floor):
+    if not _can_reach(root[0], target[0]):
         return False
-    found, _ = _explore(s1, targets=set(_members(s2)), floor=floor)
+    found, _ = _explore(root, target)
     return found
 
 
@@ -227,11 +188,12 @@ def closure(p: Prefix, max_n: int = ORACLE_CAP) -> list[CanonicalClass]:
     """
     n = p.n
     _check_cap(n, max_n)
-    _, visited = _explore(p)
+    _, visited = _explore(_key(p))
     out = []
-    for state in visited:
-        if _sorted_runs(state, n):
-            # a reachable state unpacks to a permutation with 0/1 bytes
-            out.append(CanonicalClass(_trusted(*_unpack(state, n), p.names)))
+    for word, *masks in visited:
+        # each run's variables in ascending order: the class's canonical member
+        sigma = tuple(x.bit_length() - 1 for m in masks for x in _bits(m))
+        b = bytes(word >> i & 1 for i in range(n))
+        out.append(CanonicalClass(_trusted(sigma, b, p.names)))
     out.sort(key=lambda c: c.text)
     return out

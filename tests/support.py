@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import prenex
 from prenex import Prefix, Quantifier, default_names
-from prenex.oracle import _word_moves
 
 
 def run_python(*args: str, text: bool = False) -> subprocess.CompletedProcess:
@@ -51,9 +50,9 @@ def all_raw_prefixes(n):
         yield Prefix(sigma, bits, names)
 
 
-# The readable reference for the sound moves.  The oracle inlines the
-# packed moves of prenex.oracle._word_moves into its search, and the census
-# has its own moves over rows of class ids; tests check both against these.
+# The readable reference for the sound moves.  The oracle's search has its
+# own moves over class keys, and the census its own over rows of class ids;
+# tests check both against these.
 
 
 class MoveKind(Enum):
@@ -109,22 +108,6 @@ def apply_move(p: Prefix, move: Move) -> Prefix:
 def successors(p: Prefix) -> set[Prefix]:
     """All distinct raw prefixes one move away from ``p`` (never ``p`` itself)."""
     return {apply_move(p, move) for move in applicable_moves(p)}
-
-
-def _moves(state: int, n: int) -> list[int]:
-    """Packed successors of a packed state: every flip and adjacent swap,
-    read from the oracle's per-word move table one state at a time.
-
-    Same-run swaps are included, so a search over these moves visits every
-    member of each class it reaches.  The oracle's search applies the same
-    arithmetic inline; tests check these moves against ``successors``, and
-    the search against a plain BFS over these moves.
-    """
-    flips, swaps = _word_moves(state >> (4 * n), n)
-    succ = [state ^ mask for mask in flips]
-    for lo, hi, spread, quant in swaps:
-        succ.append(state ^ (((state >> lo) ^ (state >> hi)) & 15) * spread ^ quant)
-    return succ
 
 
 def fubini(n: int) -> int:

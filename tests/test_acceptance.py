@@ -16,7 +16,6 @@ import pytest
 from prenex import (
     Prefix,
     Quantifier,
-    canonicalize,
     count_pairs,
     count_pairs_via_graph,
     decide_with_stats,
@@ -27,7 +26,7 @@ from prenex import (
     validate_witness,
 )
 from prenex.cli import run_bench
-from prenex.oracle import _explore, _pack
+from prenex.oracle import _explore, _key
 from support import (
     all_raw_prefixes,
     applicable_moves,
@@ -49,10 +48,6 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def class_key(p: Prefix) -> int:
-    return _pack(canonicalize(p).rep)
-
-
 @pytest.fixture(scope="module")
 def exhaustive_sweep():
     """All ordered raw pairs at n = 1..4: decider vs closure-cached oracle.
@@ -64,11 +59,11 @@ def exhaustive_sweep():
     summary = {}
     for n in (1, 2, 3, 4):
         states = list(all_raw_prefixes(n))
-        keys = [class_key(p) for p in states]
+        keys = [_key(p) for p in states]
         closures = {}
         for p, key in zip(states, keys):
             if key not in closures:
-                _, closures[key] = _explore(p)
+                _, closures[key] = _explore(key)
         checked = mismatches = rejects = bad_witnesses = 0
         acceptance = []
         for s1, key1 in zip(states, keys):
@@ -107,17 +102,17 @@ def sampled_sweep():
         names = default_names(n)
         s1s = [random_prefix(n, rng, names) for _ in range(n_s1)]
         s2s = [random_prefix(n, rng, names) for _ in range(n_s2)]
-        s2_keys = [class_key(p) for p in s2s]
+        s2_keys = [_key(p) for p in s2s]
         s2_key_set = set(s2_keys)
         checked = mismatches = rejects = bad_witnesses = 0
         closures = {}
         for s1 in s1s:
-            key1 = class_key(s1)
+            key1 = _key(s1)
             reach = closures.get(key1)
             if reach is None:
-                _, visited = _explore(s1)
+                _, visited = _explore(key1)
                 # cache only the s2 keys reached: a visited set at n = 8 can
-                # hold millions of raw states
+                # hold about a million classes
                 reach = closures[key1] = s2_key_set & visited
             for s2, key2 in zip(s2s, s2_keys):
                 verdict = implies(s1, s2)

@@ -2,7 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -24,7 +24,7 @@ from prenex import (
 )
 from prenex.census import _arrangements, _implied_count
 from prenex.decide import _core
-from prenex.oracle import _bits_of, _explore, _members, _unpack
+from prenex.oracle import _bits_of, _explore, _key
 from support import (
     MoveKind,
     all_raw_prefixes,
@@ -71,16 +71,16 @@ def test_every_raw_prefix_lands_in_exactly_one_class():
     for n in (1, 2, 3, 4, 5):
         index = {c.rep: m for c, m in enumerate_classes(n)}
         hits = {rep: 0 for rep in index}
+        keys = {}
         for p in all_raw_prefixes(n):
-            hits[canonicalize(p).rep] += 1
+            rep = canonicalize(p).rep
+            hits[rep] += 1
+            keys.setdefault(_key(p), set()).add(rep)
         assert hits == index  # observed sizes equal declared multiplicities
-        # the oracle's packed members of each class (its search targets)
-        # are that class
-        for rep, mult in index.items():
-            members = {_unpack(state, n) for state in _members(rep)}
-            assert len(members) == mult
-            for sigma, b in members:
-                assert canonicalize(Prefix(sigma, b, rep.names)).rep == rep
+        # the oracle's class key (its search state) is one per class, shared
+        # by exactly that class's members
+        assert len(keys) == len(index)
+        assert all(len(reps) == 1 for reps in keys.values())
 
 
 def test_class_listing_at_n7_matches_pinned_hash():
@@ -224,13 +224,15 @@ def test_counting_methods_agree():
 
 
 def test_implied_count_matches_oracle_reach():
-    # The BFS never reads the decision rule: its visited set is every raw s2
-    # that the identity-order prefix implies.
+    # The BFS never reads the decision rule: its visited classes, each
+    # weighted by its member count, are every raw s2 that the identity-order
+    # prefix implies.
     for n in range(1, 7):
         identity, names = tuple(range(n)), default_names(n)
         for word in product((0, 1), repeat=n):
-            _, visited = _explore(Prefix(identity, bytes(word), names))
-            assert _implied_count(word) == len(visited)
+            _, visited = _explore(_key(Prefix(identity, bytes(word), names)))
+            reach = sum(prod(factorial(m.bit_count()) for m in key[1:]) for key in visited)
+            assert _implied_count(word) == reach
 
 
 def test_implied_count_matches_rule_on_every_raw_s2():
@@ -261,8 +263,9 @@ def test_count_pairs_cap():
 
 
 def test_count_pairs_exact_past_the_cap():
-    # At n = 8 the oracle's reach, summed over all 256 words, gives the same
-    # true pairs (about 12 minutes, so not a test).
+    # At n = 8 the oracle's reach gives the same per-word terms, so the same
+    # true pairs: CI's "C(w) at n = 8" step checks all 256 words (about 2
+    # minutes, so not a test).
     for n, want in [
         (7, (94_586, 944_468, 25_851_707_280, 416_179_814_400)),
         (8, (1_091_670, 12_748_992, 4_105_265_028_480, 106_542_032_486_400)),

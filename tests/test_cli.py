@@ -557,11 +557,14 @@ def test_oracle_check_max_n_admits_reflexive_n9(capsys):
     assert (code, out, err) == (0, "true\n", "")
 
 
-def test_oracle_check_stops_at_the_packed_state_ceiling(capsys):
+def test_oracle_answers_past_sixteen_variables_with_a_raised_cap(capsys):
+    # no variable count overflows a class key: n = 17 is an answer, not exit 3
     text = " ".join(f"A x{i}" for i in range(1, 18))
     assert run(
         capsys, "oracle-check", "--lhs", text, "--rhs", text, "--max-n", "17"
-    ) == (3, "", "error: n=17 exceeds the packed-state ceiling 16\n")
+    ) == (0, "true\n", "")
+    code, out, err = run(capsys, "closure", text.replace("A", "E"), "--max-n", "17")
+    assert (code, out.count("\n"), err) == (0, 1, "")
 
 
 def _main_outcome(argv):

@@ -11,6 +11,8 @@ from prenex import (
     Quantifier,
     canonicalize,
     closure,
+    count_pairs,
+    enumerate_classes,
     equivalent,
     implies,
     oracle_implies,
@@ -18,11 +20,10 @@ from prenex import (
     parse_prefix_pair,
     random_prefix,
 )
-from prenex.oracle import _explore, _members, _pack, _sorted_runs, _unpack
+from prenex.oracle import _bits_of, _explore, _key, _successors
 from support import (
     Move,
     MoveKind,
-    _moves,
     all_raw_prefixes,
     applicable_moves,
     apply_move,
@@ -105,26 +106,24 @@ def test_every_successor_is_accepted_by_decider():
                 assert implies(p, q).accepted, (str(p), str(q))
 
 
-def test_packed_moves_match_successors():
-    # the oracle's per-word packed move table, read one state at a time,
-    # against the readable apply_move reference in tests/support.py
+def test_class_successors_match_the_readable_moves():
+    # the oracle's moves over class keys against the readable apply_move
+    # reference in tests/support.py, applied to every raw member of a class
     for n in (1, 2, 3, 4, 5):
+        members = {}
         for p in all_raw_prefixes(n):
-            packed = _moves(_pack(p), n)
-            unpacked = {Prefix(*_unpack(state, n), p.names) for state in packed}
-            expected = successors(p)
-            assert len(packed) == len(unpacked) == len(expected)
-            assert unpacked == expected, str(p)
+            members.setdefault(_key(p), []).append(p)
+        for key, ps in members.items():
+            expected = {_key(q) for p in ps for q in successors(p)} - {key}
+            got = list(_successors(key))
+            assert len(got) == len(set(got)), key  # no class yielded twice
+            assert set(got) == expected, key
 
 
-def test_sorted_runs_are_the_states_no_move_raises():
-    # closure's canonical filter reads the same-run pairs from the per-word
-    # table; it must pick exactly the states that every move lowers
-    for n in (1, 2, 3, 4, 5):
-        for p in all_raw_prefixes(n):
-            state = _pack(p)
-            unraised = all(nxt < state for nxt in _moves(state, n))
-            assert _sorted_runs(state, n) == unraised, str(p)
+def test_class_successors_sum_to_the_census_edge_count():
+    for n in range(1, 7):
+        keys = [_key(c.rep) for c, _ in enumerate_classes(n)]
+        assert sum(len(list(_successors(k))) for k in keys) == count_pairs(n).edge_count
 
 
 def test_strict_progress_measure():
@@ -151,13 +150,11 @@ def test_moves_never_raise_the_quantifier_word():
     # or its popcount, and a move lowers w exactly when it leaves the class
     for n in (1, 2, 3, 4, 5):
         for p in all_raw_prefixes(n):
-            state = _pack(p)
-            word = state >> (4 * n)
-            for nxt in _moves(state, n):
-                after = nxt >> (4 * n)
+            word = _bits_of(p.b)
+            for q in successors(p):
+                after = _bits_of(q.b)
                 assert after <= word and after.bit_count() <= word.bit_count()
-                q = Prefix(*_unpack(nxt, n), p.names)
-                assert (after < word) == (not equivalent(p, q)), (str(p), str(q))
+                assert (after < word) == (_key(q) != _key(p)), (str(p), str(q))
 
 
 # --- reachability --------------------------------------------------------------
@@ -188,40 +185,13 @@ def test_oracle_agrees_with_decider_on_every_raw_pair():
 
 def test_pruned_oracle_matches_full_reachability_on_every_raw_pair():
     # the pruned search against the unpruned one, with no use of the decider:
-    # s2's class is reachable iff s2 itself is in the full visited set, which
-    # is closed under class membership
+    # s2's class is reachable iff its key is in the full visited set
     for n in (1, 2, 3, 4):
         states = list(all_raw_prefixes(n))
         for s1 in states:
-            _, visited = _explore(s1)
+            _, visited = _explore(_key(s1))
             for s2 in states:
-                assert oracle_implies(s1, s2) == (_pack(s2) in visited), (str(s1), str(s2))
-
-
-def test_explore_visits_the_closure_of_the_packed_moves():
-    # _explore inlines the packed moves; a plain BFS over support's _moves is
-    # its reference, for the full search and for a search toward a class
-    rng = random.Random(8)
-    for n in (1, 2, 3, 4):
-        prefixes = list(all_raw_prefixes(n))
-        for p in prefixes:
-            root = _pack(p)
-            reach = {root}
-            queue = [root]
-            for state in queue:
-                for nxt in _moves(state, n):
-                    if nxt not in reach:
-                        reach.add(nxt)
-                        queue.append(nxt)
-            assert _explore(p) == (False, reach), str(p)
-            for q in rng.sample(prefixes, min(6, len(prefixes))):
-                targets = set(_members(q))
-                if root in targets:
-                    continue
-                for floor in (None, _pack(q) >> (4 * n)):
-                    found, visited = _explore(p, targets, floor)
-                    assert found == (_pack(q) in reach), (str(p), str(q), floor)
-                    assert visited <= reach
+                assert oracle_implies(s1, s2) == (_key(s2) in visited), (str(s1), str(s2))
 
 
 def test_oracle_cap_enforced():
@@ -233,13 +203,14 @@ def test_oracle_cap_enforced():
     assert oracle_implies(p, q, max_n=9) == implies(p, q).accepted
 
 
-def test_packed_state_ceiling():
-    # a 17th variable's index would overflow its nibble, whatever the cap
+def test_oracle_runs_past_sixteen_variables_with_a_raised_cap():
+    # a class key holds each run as a bitmask, which no variable count
+    # overflows: with the cap raised, a reflexive pair at n = 17 is true and
+    # an all-existential prefix implies only its own class
     p = random_prefix(17, random.Random(7))
-    for search in (lambda: oracle_implies(p, p, max_n=17), lambda: closure(p, max_n=17)):
-        with pytest.raises(InstanceTooLargeError) as raised:
-            search()
-        assert str(raised.value) == "n=17 exceeds the packed-state ceiling 16"
+    assert oracle_implies(p, p, max_n=17)
+    bottom = Prefix(p.sigma, bytes(17), p.names)
+    assert [c.rep for c in closure(bottom, max_n=17)] == [canonicalize(bottom).rep]
 
 
 def test_oracle_agrees_with_equivalence_on_zero_move_pairs():
