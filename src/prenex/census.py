@@ -1,18 +1,18 @@
 """Census of equivalence classes at small n: enumeration, graph, pair counts.
 
 A class is determined by its quantifier string plus the set of variables in
-each run (order inside a run is immaterial), so classes are enumerated
-directly: each distinct arrangement of a quantifier word's run labels over
-the variables; no raw sweep is needed for the vertex set.  Edges do need
-every raw prefix: different members of one class reach different classes.
-A raw prefix is a quantifier word with a placement of the variables, and
-one table of class ids per word, over the n! placements, maps each raw
-prefix to its class; the flips and exists-forall swaps then join whole rows
-of that table.  Every edge lowers its source's quantifier word, so
-ascending word order is a topological order of the graph, and reachability
-runs in that order.  The census shares only ``_bits_of`` with the oracle:
-its moves are its own, and a test checks its edges against the readable
-moves of the test suite.
+each run (order inside a run is immaterial).  A raw prefix is a quantifier
+word with a placement of the variables, and ``_run_table`` turns a placement
+into the run that holds each variable: the class's label.  Over the n!
+placements of a word, the distinct labels are the word's classes, which
+``enumerate_classes`` lists, and the same labels, as one row of class ids
+per word, map each raw prefix to its class in ``build_graph``.  Edges need
+every raw prefix, since different members of one class reach different
+classes; the flips and exists-forall swaps join whole rows of that table.
+Every edge lowers its source's quantifier word, so ascending word order is
+a topological order of the graph, and reachability runs in that order.  The
+census imports nothing from the oracle: its moves are its own, and a test
+checks its edges against the readable moves of the test suite.
 
 The pair count is made two independent ways.  ``count_pairs`` sums closed
 forms over the 2^n quantifier words: renaming both sides keeps an
@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, permutations, product
 from math import factorial, prod
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InstanceTooLargeError
-from .oracle import _bits_of
-from .prefix import CanonicalClass, _trusted, default_names
+from .prefix import CanonicalClass, _bits_of, _trusted, default_names
 
 __all__ = [
     "CLASS_CAP",
@@ -92,24 +91,12 @@ def _check_cap(n: int, cap: int) -> None:
         raise InstanceTooLargeError(f"n={n} outside the supported range 1..{cap}")
 
 
-def _arrangements(labels: list[int]) -> Iterator[tuple[int, ...]]:
-    """Each distinct ordering of the sorted list ``labels``, once, in
-    ascending order: the next-permutation step, which never makes the
-    repeats that ``permutations`` would for equal labels."""
-    a = list(labels)
-    last = len(a) - 1
-    while True:
-        yield tuple(a)
-        i = last - 1  # the rightmost ascent a[i] < a[i + 1]
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = last  # the rightmost label above a[i]
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = a[:i:-1]
+def _run_table(w: int, n: int) -> bytes:
+    """Word w's run labels as a ``bytes.translate`` table: position i goes to
+    the run that holds it, so a placement becomes the run of each variable."""
+    word = ((w >> i) & 1 for i in range(n))
+    labels = [k for k, (_, run) in enumerate(groupby(word)) for _ in run]
+    return bytes(labels).ljust(256, b"\0")
 
 
 def enumerate_classes(
@@ -117,20 +104,25 @@ def enumerate_classes(
 ) -> list[tuple[CanonicalClass, int]]:
     """All equivalence classes at n, sorted by canonical text.
 
-    Each entry carries the class multiplicity (product of run-length
-    factorials), so the multiplicities sum to n! * 2^n.
+    The classes of word w are the distinct labels
+    ``q.translate(_run_table(w, n))`` over the n! placements q.  Each class
+    takes the same share of the placements, its multiplicity (the product
+    of its run-length factorials), so the multiplicities sum to n! * 2^n.
     """
     _check_cap(n, cap)
     names = default_names(n)
+    placements = list(map(bytes, permutations(range(n))))
     out = []
-    for word in product((0, 1), repeat=n):
-        parts = tuple(len(tuple(run)) for _, run in groupby(word))
+    # words in text order, universal first, so the final sort's input is
+    # nearly sorted
+    for word in product((1, 0), repeat=n):
         bits = bytes(word)
-        mult = prod(map(factorial, parts))
-        labels = [k for k, size in enumerate(parts) for _ in range(size)]
+        table = _run_table(_bits_of(bits), n)
+        classes = sorted({q.translate(table) for q in placements})
+        mult = factorial(n) // len(classes)
         # where[v] is the run that holds variable v; a stable sort on it lists
         # each run's variables in ascending order.
-        for where in _arrangements(labels):
+        for where in classes:
             sigma = tuple(sorted(range(n), key=where.__getitem__))
             out.append((CanonicalClass(_trusted(sigma, bits, names)), mult))
     out.sort(key=lambda item: item[0].text)
@@ -143,23 +135,19 @@ def build_graph(n: int, cap: int = CLASS_CAP) -> ImplicationGraph:
     A raw prefix is a quantifier word w with a placement q, one of the n!
     permutations ``permutations(range(n))``: ``q[v]`` is the position of
     variable v.  Its class is fixed by w and the run that holds each
-    variable, so ``ids[w][r]`` is the class of w with the r-th placement.  A
-    flip keeps the placement, and an exists-forall swap at (i, i + 1)
-    exchanges the placements i and i + 1, so each move joins a whole row of
-    ``ids`` to another, the swap through one rank table per i.  Same-run
-    swaps never leave the class and need no work.
+    variable, the label ``q.translate(_run_table(w, n))`` that
+    ``enumerate_classes`` reads the classes from, so ``ids[w][r]`` is the
+    class of w with the r-th placement.  A flip keeps the placement, and an
+    exists-forall swap at (i, i + 1) exchanges the placements i and i + 1,
+    so each move joins a whole row of ``ids`` to another, the swap through
+    one rank table per i.  Same-run swaps never leave the class and need no
+    work.
     """
     classes = enumerate_classes(n, cap)
     vertices = tuple(cls for cls, _ in classes)
     multiplicity = tuple(mult for _, mult in classes)
     placements = list(map(bytes, permutations(range(n))))
-    # run_of[w] maps a position to its run in word w, as a bytes.translate
-    # table: it turns a placement into the run of each variable.
-    run_of = []
-    for w in range(1 << n):
-        word = ((w >> i) & 1 for i in range(n))
-        labels = [k for k, (_, run) in enumerate(groupby(word)) for _ in run]
-        run_of.append(bytes(labels).ljust(256, b"\0"))
+    run_of = [_run_table(w, n) for w in range(1 << n)]
     # by_runs[w] maps the runs of a class of word w to the class's id.
     by_runs: list[dict[bytes, int]] = [{} for _ in run_of]
     for u, cls in enumerate(vertices):

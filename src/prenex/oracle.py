@@ -38,7 +38,7 @@ from collections import deque
 from typing import Iterator
 
 from .errors import InstanceTooLargeError
-from .prefix import CanonicalClass, Prefix, _trusted, ensure_same_universe
+from .prefix import CanonicalClass, Prefix, _bits_of, _trusted, ensure_same_universe
 
 __all__ = [
     "ORACLE_CAP",
@@ -47,11 +47,6 @@ __all__ = [
 ]
 
 ORACLE_CAP = 8
-
-
-def _bits_of(bits: bytes) -> int:
-    """Quantifier bytes as an int, bit i set when position i is universal."""
-    return sum(q << i for i, q in enumerate(bits))
 
 
 def _key(p: Prefix) -> tuple[int, ...]:

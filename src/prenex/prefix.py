@@ -143,6 +143,11 @@ class Prefix:
         return format_prefix(self)
 
 
+def _bits_of(bits: bytes) -> int:
+    """Quantifier bytes as an int, bit i set when position i is universal."""
+    return sum(q << i for i, q in enumerate(bits))
+
+
 @dataclass(frozen=True)
 class Run:
     """Maximal contiguous block of same-quantifier positions."""
