@@ -3,12 +3,14 @@
 A class is determined by its quantifier string plus the set of variables in
 each run (order inside a run is immaterial).  A raw prefix is a quantifier
 word with a placement of the variables, and ``_run_table`` turns a placement
-into the run that holds each variable: the class's label.  Over the n!
-placements of a word, the distinct labels are the word's classes, which
-``enumerate_classes`` lists, and the same labels, as one row of class ids
-per word, map each raw prefix to its class in ``build_graph``.  Edges need
-every raw prefix, since different members of one class reach different
-classes; the flips and exists-forall swaps join whole rows of that table.
+into the label of the run that holds each variable: the class's label.  A
+run's label carries its quantifier as well as its index, so a label also
+names its word, and the classes of all words share one label space.  Over
+the n! placements of a word, the distinct labels are the word's classes,
+which ``enumerate_classes`` lists; ``build_graph`` maps each label to its
+class id in one dict, and reads from it one row of class ids per word.
+Edges need every raw prefix, since different members of one class reach
+different classes; the flips and exists-forall swaps join whole rows.
 Every edge lowers its source's quantifier word, so ascending word order is
 a topological order of the graph, and reachability runs in that order.  The
 census imports nothing from the oracle: its moves are its own, and a test
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby, permutations, product
+from itertools import chain, groupby, permutations, product, repeat
 from math import factorial, prod
 from typing import Iterable
 
@@ -91,11 +93,12 @@ def _check_cap(n: int, cap: int) -> None:
         raise InstanceTooLargeError(f"n={n} outside the supported range 1..{cap}")
 
 
-def _run_table(w: int, n: int) -> bytes:
-    """Word w's run labels as a ``bytes.translate`` table: position i goes to
-    the run that holds it, so a placement becomes the run of each variable."""
-    word = ((w >> i) & 1 for i in range(n))
-    labels = [k for k, (_, run) in enumerate(groupby(word)) for _ in run]
+def _run_table(bits: bytes) -> bytes:
+    """A word's run labels as a ``bytes.translate`` table: position i goes to
+    2k + q, where run k holds it and q is that run's quantifier.  Runs
+    alternate quantifiers, so a label names its word, and no two words share
+    a label."""
+    labels = [2 * k + q for k, (q, run) in enumerate(groupby(bits)) for _ in run]
     return bytes(labels).ljust(256, b"\0")
 
 
@@ -104,8 +107,8 @@ def enumerate_classes(
 ) -> list[tuple[CanonicalClass, int]]:
     """All equivalence classes at n, sorted by canonical text.
 
-    The classes of word w are the distinct labels
-    ``q.translate(_run_table(w, n))`` over the n! placements q.  Each class
+    The classes of the word ``bits`` are the distinct labels
+    ``q.translate(_run_table(bits))`` over the n! placements q.  Each class
     takes the same share of the placements, its multiplicity (the product
     of its run-length factorials), so the multiplicities sum to n! * 2^n.
     """
@@ -117,11 +120,11 @@ def enumerate_classes(
     # nearly sorted
     for word in product((1, 0), repeat=n):
         bits = bytes(word)
-        table = _run_table(_bits_of(bits), n)
+        table = _run_table(bits)
         classes = sorted({q.translate(table) for q in placements})
         mult = factorial(n) // len(classes)
-        # where[v] is the run that holds variable v; a stable sort on it lists
-        # each run's variables in ascending order.
+        # where[v] is the label of the run that holds variable v; a stable
+        # sort on it lists each run's variables in ascending order.
         for where in classes:
             sigma = tuple(sorted(range(n), key=where.__getitem__))
             out.append((CanonicalClass(_trusted(sigma, bits, names)), mult))
@@ -134,36 +137,27 @@ def build_graph(n: int, cap: int = CLASS_CAP) -> ImplicationGraph:
 
     A raw prefix is a quantifier word w with a placement q, one of the n!
     permutations ``permutations(range(n))``: ``q[v]`` is the position of
-    variable v.  Its class is fixed by w and the run that holds each
-    variable, the label ``q.translate(_run_table(w, n))`` that
-    ``enumerate_classes`` reads the classes from, so ``ids[w][r]`` is the
-    class of w with the r-th placement.  A flip keeps the placement, and an
-    exists-forall swap at (i, i + 1) exchanges the placements i and i + 1,
-    so each move joins a whole row of ``ids`` to another, the swap through
-    one rank table per i.  Same-run swaps never leave the class and need no
-    work.
+    variable v.  Its class is its label ``q.translate(table)``, the run
+    label of each variable under the word's ``_run_table``; a label names
+    its word, so one ``class_id`` dict serves every word, and ``ids[w][r]``
+    is the class of w with the r-th placement.  A flip keeps the placement,
+    so it joins a whole row of ``ids`` to another.  An exists-forall swap at
+    (i, i + 1) exchanges the positions i and i + 1, so it sends q to the
+    label of q under the swapped word's table with entries i and i + 1
+    exchanged.  Same-run swaps never leave the class and need no work.
     """
     classes = enumerate_classes(n, cap)
     vertices = tuple(cls for cls, _ in classes)
     multiplicity = tuple(mult for _, mult in classes)
+    del classes  # the edge set's tuples reuse the memory of its pairs
     placements = list(map(bytes, permutations(range(n))))
-    run_of = [_run_table(w, n) for w in range(1 << n)]
-    # by_runs[w] maps the runs of a class of word w to the class's id.
-    by_runs: list[dict[bytes, int]] = [{} for _ in run_of]
-    for u, cls in enumerate(vertices):
-        w, sigma = _bits_of(cls.rep.b), cls.rep.sigma
-        placed = bytes(sorted(range(n), key=sigma.__getitem__))  # inverse of sigma
-        by_runs[w][placed.translate(run_of[w])] = u
-    ids = [
-        [index[q.translate(table)] for q in placements]
-        for index, table in zip(by_runs, run_of)
-    ]
-    rank = {q: r for r, q in enumerate(placements)}
-    swapped = []
-    for i in range(n - 1):
-        table = bytearray(range(256))
-        table[i], table[i + 1] = i + 1, i
-        swapped.append([rank[q.translate(table)] for q in placements])
+    words = [bytes((w >> i) & 1 for i in range(n)) for w in range(1 << n)]
+    tables = dict(zip(words, map(_run_table, words)))
+    # Variable sigma[i] sits at position i and takes the label table[i]: read
+    # through that map, the identity placement, placements[0], is the label.
+    maps = (bytes.maketrans(bytes(c.rep.sigma), tables[c.rep.b][:n]) for c in vertices)
+    class_id = {placements[0].translate(m): u for u, m in enumerate(maps)}
+    ids = [[class_id[q.translate(t)] for q in placements] for t in tables.values()]
     pairs = []
     for w, row in enumerate(ids):
         for i in range(n):
@@ -171,7 +165,10 @@ def build_graph(n: int, cap: int = CLASS_CAP) -> ImplicationGraph:
                 pairs.append(zip(row, ids[w ^ 1 << i]))
         for i in range(n - 1):
             if (w >> i) & 3 == 2:  # exists at i, forall at i + 1
-                pairs.append(zip(row, map(ids[w ^ 3 << i].__getitem__, swapped[i])))
+                table = bytearray(tables[words[w ^ 3 << i]])
+                table[i], table[i + 1] = table[i + 1], table[i]
+                swapped = map(bytes.translate, placements, repeat(table))
+                pairs.append(zip(row, map(class_id.__getitem__, swapped)))
     edges = frozenset(chain.from_iterable(pairs))
     return ImplicationGraph(n, vertices, edges, multiplicity)
 

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
@@ -22,9 +22,10 @@ from prenex import (
     implies,
     reachability_bitsets,
 )
-from prenex.census import _implied_count
+from prenex.census import _implied_count, _run_table
 from prenex.decide import _core
-from prenex.oracle import _bits_of, _explore, _key
+from prenex.oracle import _explore, _key
+from prenex.prefix import _bits_of
 from support import (
     MoveKind,
     all_raw_prefixes,
@@ -42,6 +43,21 @@ def test_class_counts_match_doubled_ordered_bell():
     assert [len(enumerate_classes(n)) for n in range(1, 6)] == [2, 6, 26, 150, 1082]
     for n in range(1, 6):
         assert len(enumerate_classes(n)) == 2 * fubini(n)
+
+
+def test_run_labels_name_their_word():
+    # A label is 2k + q for the run k that holds each variable and that run's
+    # quantifier q, so over every word and placement no two words share one,
+    # and the distinct labels are the classes.
+    for n in range(1, 7):
+        placements = [bytes(q) for q in permutations(range(n))]
+        owners: dict[bytes, set[bytes]] = {}
+        for bits in map(bytes, product((0, 1), repeat=n)):
+            table = _run_table(bits)
+            for q in placements:
+                owners.setdefault(q.translate(table), set()).add(bits)
+        assert all(len(words) == 1 for words in owners.values())
+        assert len(owners) == 2 * fubini(n)
 
 
 def test_classes_at_n1():

@@ -20,7 +20,8 @@ from prenex import (
     parse_prefix_pair,
     random_prefix,
 )
-from prenex.oracle import _bits_of, _explore, _key, _successors
+from prenex.oracle import _explore, _key, _successors
+from prenex.prefix import _bits_of
 from support import (
     Move,
     MoveKind,
