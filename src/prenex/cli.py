@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import gc
 import hashlib
 import json
 import random
 import statistics
 import sys
-import time
+import timeit
 from array import array
 from dataclasses import asdict
 
@@ -164,17 +163,8 @@ def run_bench(sizes: list[int], seed: int, reps: int) -> list[dict]:
             digest.update(array("q", p.sigma).tobytes())
             digest.update(p.b)
         verdict, stats = decide_with_stats(s1, s2)
-        times = []
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                start = time.perf_counter()
-                implies(s1, s2)
-                times.append(time.perf_counter() - start)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        # timeit turns gc off around each timed call
+        times = timeit.repeat(functools.partial(implies, s1, s2), repeat=reps, number=1)
         rows.append(
             {
                 "n": n,

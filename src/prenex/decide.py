@@ -21,9 +21,9 @@ existential, since an unplaced existential J never lies above F.
 that starts at s1's last existential and rescans downward only from its
 previous value, so the whole decision is O(n).  It decides every pair below
 ``_SCATTER_THRESHOLD`` variables.  Its result, ``(case_id, i, f)``, is what
-every stage returns; ``_verdict`` turns it into a ``Verdict``,
-``decide_with_stats`` adds ``DecideStats``, and the text path below makes
-its own ``Verdict``.
+every stage returns.  Each outcome then has one rule: every accept is the
+shared ``_ACCEPT``, and ``_reject`` builds every reject, for ``implies``,
+``decide_with_stats`` and the text path below alike.
 
 From that size up, ``_decide`` runs the scan's first step with one
 ``sigma1.index`` lookup and no table, so a first-step reject never loads
@@ -85,7 +85,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class DecideStats:
-    """Operation counts for one decision (used by the scaling benchmark)."""
+    """Operation counts for one decision (used by ``prenex bench``).
+
+    ``loop_steps`` is the scan steps taken, n on an accept and n - i on a
+    reject at step i; ``rescan_steps`` is how far F moved down from its
+    start value.
+    """
 
     n: int
     loop_steps: int
@@ -229,22 +234,27 @@ def _decide_text(
     return _kernel(np.fromiter(map(at.__getitem__, names2), np.intp, n), b1, b2)
 
 
-def _verdict(s1: Prefix, s2: Prefix) -> tuple[Verdict, int, int]:
-    """:func:`implies`'s verdict, with the ``i`` and ``f`` it came from."""
-    ensure_same_universe(s1, s2)
-    case_id, i, f = _decide(s1.sigma, s1.b, s2.sigma, s2.b)
-    if case_id == 0:
-        return Verdict(True), i, f
-    witness = RejectWitness(case_id, i, s2.sigma[i], f if case_id == 4 else None)
-    return Verdict(False, witness), i, f
+_ACCEPT = Verdict(True)  # frozen, so every accept can share it
+
+
+def _reject(case_id: int, i: int, f: int, variable: int) -> Verdict:
+    """A case-4 or case-5 reject at scan step i; F = f is its witness's
+    ``blocking_f`` in case 4 only."""
+    return Verdict(False, RejectWitness(case_id, i, variable, f if case_id == 4 else None))
 
 
 def decide_with_stats(s1: Prefix, s2: Prefix) -> tuple[Verdict, DecideStats]:
-    """Like :func:`implies`, also reporting instrumented operation counts."""
-    verdict, i, f = _verdict(s1, s2)
+    """Like :func:`implies`, also reporting the decision's operation counts.
+
+    The counts come from the decision's ``(case_id, i, f)``: the scan takes
+    n steps on an accept and n - i on a reject at step i, and F rescans from
+    its start value down to f.
+    """
+    ensure_same_universe(s1, s2)
+    case_id, i, f = _decide(s1.sigma, s1.b, s2.sigma, s2.b)
     n = s1.n
-    loop_steps = n if verdict.accepted else n - i
-    return verdict, DecideStats(n, loop_steps, _f_start(s1.b) - f)
+    stats = DecideStats(n, n - i if case_id else n, _f_start(s1.b) - f)
+    return (_reject(case_id, i, f, s2.sigma[i]) if case_id else _ACCEPT), stats
 
 
 def implies(s1: Prefix, s2: Prefix) -> Verdict:
@@ -254,7 +264,9 @@ def implies(s1: Prefix, s2: Prefix) -> Verdict:
     verdict carries a case-4 or case-5 witness naming the rejecting position.
     Inputs are used as written (no canonicalization first).
     """
-    return _verdict(s1, s2)[0]
+    ensure_same_universe(s1, s2)
+    case_id, i, f = _decide(s1.sigma, s1.b, s2.sigma, s2.b)
+    return _reject(case_id, i, f, s2.sigma[i]) if case_id else _ACCEPT
 
 
 def _text_verdict(lhs_text: str, rhs_text: str) -> tuple[Verdict, str | None]:
@@ -268,11 +280,9 @@ def _text_verdict(lhs_text: str, rhs_text: str) -> tuple[Verdict, str | None]:
     b1, at, names2, b2 = _text_pair(lhs_text, rhs_text)
     case_id, i, f = _decide_text(at, b1, names2, b2)
     if case_id == 0:
-        return Verdict(True), None
+        return _ACCEPT, None
     name = names2[i]
-    rank = sum(map(operator.lt, at, repeat(name)))
-    witness = RejectWitness(case_id, i, rank, f if case_id == 4 else None)
-    return Verdict(False, witness), name
+    return _reject(case_id, i, f, sum(map(operator.lt, at, repeat(name)))), name
 
 
 def validate_witness(s1: Prefix, s2: Prefix, verdict: Verdict) -> bool:

@@ -1,5 +1,6 @@
 import io
 import json
+import statistics
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -350,12 +351,16 @@ def test_census_cap_exit_3(capsys):
 
 
 def test_bench_rows_and_determinism(capsys):
-    argv = ("bench", "--sizes", "64,300,5000", "--seed", "7", "--reps", "1", "--json")
+    argv = ("bench", "--sizes", "64,300,5000", "--seed", "7", "--reps", "2", "--json")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
     for row in doc["rows"]:
-        assert set(row.pop("timing")) == {"median_s", "times_s"}
+        timing = row.pop("timing")
+        assert set(timing) == {"median_s", "times_s"}
+        times = timing["times_s"]
+        assert len(times) == 2 and all(type(t) is float and t > 0 for t in times)
+        assert timing["median_s"] == statistics.median(times)
     # The generator contract: a seed draws the same pairs in every version,
     # on both sides of the 256-variable kernel threshold.
     pinned = [

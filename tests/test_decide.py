@@ -29,11 +29,12 @@ from prenex.decide import (
     _SCATTER_THRESHOLD,
     _core,
     _decide,
+    _decide_text,
     _kernel,
     _position_table,
     _text_verdict,
 )
-from prenex.prefix import _read
+from prenex.prefix import _read, _text_pair
 from support import (
     all_raw_prefixes,
     all_raw_states,
@@ -247,9 +248,9 @@ def test_stats_are_linear_and_rescan_bounded():
 
 @pytest.mark.parametrize("n", [5, _SCATTER_THRESHOLD])
 def test_implies_builds_no_stats(monkeypatch, n):
-    # implies gives its verdict without DecideStats: from _core below the
-    # threshold, and from the first-step lookup (rejects) and the kernel
-    # (the accept, as s2 ends existential) at it
+    # implies and the text path give their verdicts without DecideStats:
+    # from the scan below the threshold, and from the first-step lookup
+    # (rejects) and the kernel (the accept, as s2 ends existential) at it
     s1 = make_prefix(range(n), [1 - k % 2 for k in range(n)])  # A E A E ...
     f = s1.b.rfind(0)
     expected = [
@@ -264,6 +265,7 @@ def test_implies_builds_no_stats(monkeypatch, n):
     monkeypatch.setattr("prenex.decide.DecideStats", no_stats)
     for s2, verdict in expected:
         assert implies(s1, s2) == verdict
+        assert _text_verdict(format_prefix(s1), format_prefix(s2))[0] == verdict
 
 
 def test_decider_not_fooled_by_uncanonical_input():
@@ -557,6 +559,25 @@ def test_text_path_matches_reference_on_decide_families(n):
                 first_step.add(w.case_id)
     if n >= 8:
         assert first_step == {4, 5}
+
+
+def test_both_readers_reach_the_same_decision():
+    # The full (case_id, i, f), f included: a witness shows f on case-4
+    # rejects only.  Left names in shuffled text order, n log-uniform on
+    # 1..2048 and on both sides of the threshold; half the pairs reflexive.
+    rng = random.Random(115)
+    sizes = [int(2 ** rng.uniform(0, 11)) for _ in range(297)]
+    cases = set()
+    for n in sizes + [_SCATTER_THRESHOLD - 1, _SCATTER_THRESHOLD, _SCATTER_THRESHOLD + 1]:
+        s1 = random_prefix(n, rng, scrambled_names(rng, n))
+        lhs = format_prefix(s1)
+        for rhs in (lhs, format_prefix(random_prefix(n, rng, s1.names))):
+            b1, at, names2, b2 = _text_pair(lhs, rhs)
+            p1, p2 = parse_prefix_pair(lhs, rhs)
+            result = _decide(p1.sigma, p1.b, p2.sigma, p2.b)
+            assert _decide_text(at, b1, names2, b2) == result, (lhs, rhs)
+            cases.add(result[0])
+    assert cases == {0, 4, 5}
 
 
 def right_side_faults(rhs):
