@@ -10,7 +10,8 @@ the n! placements of a word, the distinct labels are the word's classes,
 which ``enumerate_classes`` lists; ``build_graph`` maps each label to its
 class id in one dict, and reads from it one row of class ids per word.
 Edges need every raw prefix, since different members of one class reach
-different classes; the flips and exists-forall swaps join whole rows.
+different classes; the flips and exists-forall swaps join whole rows, a
+swap through one table of placement ranks per pair of adjacent positions.
 Every edge lowers its source's quantifier word, so ascending word order is
 a topological order of the graph, and reachability runs in that order.  The
 census imports nothing from the oracle: its moves are its own, and a test
@@ -33,12 +34,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby, permutations, product, repeat
+from itertools import chain, groupby, permutations, product
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import InstanceTooLargeError
-from .prefix import CanonicalClass, _bits_of, _trusted, default_names
+from .prefix import CanonicalClass, _bits_of, _text_key, _trusted, default_names
 
 __all__ = [
     "CLASS_CAP",
@@ -73,7 +75,16 @@ class ImplicationGraph:
     multiplicity: tuple[int, ...]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """The edges in ``sorted(edges)`` order, as the graph's own tuples:
+        each edge goes into its source vertex's bucket, each bucket is sorted
+        by target, and the buckets are chained in source order."""
+        buckets: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for edge in self.edges:
+            buckets[edge[0]].append(edge)
+        target = itemgetter(1)
+        for bucket in buckets:
+            bucket.sort(key=target)
+        return list(chain.from_iterable(buckets))
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,8 @@ def enumerate_classes(
         for where in classes:
             sigma = tuple(sorted(range(n), key=where.__getitem__))
             out.append((CanonicalClass(_trusted(sigma, bits, names)), mult))
-    out.sort(key=lambda item: item[0].text)
+    text = _text_key(names)
+    out.sort(key=lambda item: text(item[0].rep))
     return out
 
 
@@ -142,15 +154,23 @@ def build_graph(n: int, cap: int = CLASS_CAP) -> ImplicationGraph:
     its word, so one ``class_id`` dict serves every word, and ``ids[w][r]``
     is the class of w with the r-th placement.  A flip keeps the placement,
     so it joins a whole row of ``ids`` to another.  An exists-forall swap at
-    (i, i + 1) exchanges the positions i and i + 1, so it sends q to the
-    label of q under the swapped word's table with entries i and i + 1
-    exchanged.  Same-run swaps never leave the class and need no work.
+    (i, i + 1) exchanges the positions i and i + 1, so it sends the r-th
+    placement to the one of rank ``swap_at[i][r]``, and it joins the row of
+    w to the swapped word's row read in that order.  Same-run swaps never
+    leave the class and need no work.
     """
     classes = enumerate_classes(n, cap)
     vertices = tuple(cls for cls, _ in classes)
     multiplicity = tuple(mult for _, mult in classes)
     del classes  # the edge set's tuples reuse the memory of its pairs
     placements = list(map(bytes, permutations(range(n))))
+    rank = {q: r for r, q in enumerate(placements)}
+    # swap_at[i][r] is the rank of placement r with positions i and i + 1
+    # exchanged: the variables there trade places
+    swap_at = []
+    for i in range(n - 1):
+        swap = bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i)))
+        swap_at.append([rank[q.translate(swap)] for q in placements])
     words = [bytes((w >> i) & 1 for i in range(n)) for w in range(1 << n)]
     tables = dict(zip(words, map(_run_table, words)))
     # Variable sigma[i] sits at position i and takes the label table[i]: read
@@ -165,10 +185,7 @@ def build_graph(n: int, cap: int = CLASS_CAP) -> ImplicationGraph:
                 pairs.append(zip(row, ids[w ^ 1 << i]))
         for i in range(n - 1):
             if (w >> i) & 3 == 2:  # exists at i, forall at i + 1
-                table = bytearray(tables[words[w ^ 3 << i]])
-                table[i], table[i + 1] = table[i + 1], table[i]
-                swapped = map(bytes.translate, placements, repeat(table))
-                pairs.append(zip(row, map(class_id.__getitem__, swapped)))
+                pairs.append(zip(row, map(ids[w ^ 3 << i].__getitem__, swap_at[i])))
     edges = frozenset(chain.from_iterable(pairs))
     return ImplicationGraph(n, vertices, edges, multiplicity)
 

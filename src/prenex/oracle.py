@@ -38,7 +38,7 @@ from collections import deque
 from typing import Iterator
 
 from .errors import InstanceTooLargeError
-from .prefix import CanonicalClass, Prefix, _bits_of, _trusted, ensure_same_universe
+from .prefix import CanonicalClass, Prefix, _bits_of, _text_key, _trusted, ensure_same_universe
 
 __all__ = [
     "ORACLE_CAP",
@@ -183,12 +183,22 @@ def closure(p: Prefix, max_n: int = ORACLE_CAP) -> list[CanonicalClass]:
     """
     n = p.n
     _check_cap(n, max_n)
+    names = p.names
     _, visited = _explore(_key(p))
-    out = []
+    # Each class's canonical member lists each run's variables in ascending
+    # order.  Classes share runs and words, so each run mask's variables and
+    # each word's quantifier bytes are built once per call.
+    runs: dict[int, tuple[int, ...]] = {}
+    words: dict[int, bytes] = {}
+    reps = []
     for word, *masks in visited:
-        # each run's variables in ascending order: the class's canonical member
-        sigma = tuple(x.bit_length() - 1 for m in masks for x in _bits(m))
-        b = bytes(word >> i & 1 for i in range(n))
-        out.append(CanonicalClass(_trusted(sigma, b, p.names)))
-    out.sort(key=lambda c: c.text)
-    return out
+        sigma = ()
+        for m in masks:
+            if m not in runs:
+                runs[m] = tuple(x.bit_length() - 1 for x in _bits(m))
+            sigma += runs[m]
+        if word not in words:
+            words[word] = bytes(word >> i & 1 for i in range(n))
+        reps.append(_trusted(sigma, words[word], names))
+    reps.sort(key=_text_key(names))
+    return [CanonicalClass(r) for r in reps]

@@ -19,7 +19,7 @@ import random
 import string
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn
 
 from .errors import (
     DuplicateVariableError,
@@ -228,7 +228,15 @@ def equivalent(p1: Prefix, p2: Prefix) -> bool:
 def format_prefix(p: Prefix) -> str:
     """Canonical ASCII text: 'A'/'E' and name tokens, single-space separated."""
     names = p.names
-    return " ".join(f"{_LETTERS[q]} {names[v]}" for q, v in zip(p.b, p.sigma))
+    return " ".join([f"{_LETTERS[q]} {names[v]}" for q, v in zip(p.b, p.sigma)])
+
+
+def _text_key(names: tuple[str, ...]) -> Callable[[Prefix], str]:
+    """``format_prefix`` for prefixes over ``names``, joined from one token
+    table built once: ``tokens[q][v]`` is quantifier q's letter and variable
+    v's name.  For sorting many prefixes by their text."""
+    tokens = tuple([f"{letter} {x}" for x in names] for letter in _LETTERS)
+    return lambda p: " ".join([tokens[q][v] for q, v in zip(p.b, p.sigma)])
 
 
 def _split(text: str) -> tuple[list[str], list[str]]:

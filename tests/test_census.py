@@ -124,6 +124,15 @@ def test_graph_at_n1():
     assert g.sorted_edges() == [(0, 1)]
 
 
+def test_sorted_edges_are_the_graphs_own_tuples_in_order():
+    for n in range(1, 7):
+        g = build_graph(n)
+        edges = g.sorted_edges()
+        assert edges == sorted(g.edges), n
+        # no edge tuple is built anew: the list holds the edge set's objects
+        assert {id(e) for e in edges} <= {id(e) for e in g.edges}, n
+
+
 def test_graph_at_n2_has_ten_edges():
     g = build_graph(2)
     assert len(g.vertices) == 6

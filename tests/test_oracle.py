@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import random
 from pathlib import Path
 
@@ -260,6 +261,32 @@ def test_closure_of_all_exists_is_itself():
 
 def test_closure_of_all_forall_covers_every_class_at_n2():
     assert len(closure(parse_prefix("A x1 A x2"))) == 6
+
+
+@pytest.mark.parametrize(
+    "text, count, digest",
+    [
+        ("A x4 E x2 A x6 A x1 E x5 A x3", 531,
+         "54d015f0f04f3bbb74d0cebc9a02bf41601805783e31aabf844d9db69dd0b755"),
+        ("E x3 A x5 A x2 E x6 E x1 A x4", 168,
+         "4e0b33ecddbdd5b771c2ed2d6b343774606610ae176f6b2980af1f64ad1ab316"),
+        ("A x5 A x3 A x7 E x1 A x2 E x6 A x4", 2509,
+         "4cec4b213eb74264d2a9b3f28e8250027821850016ec73e6b2f14373aa4dca2a"),
+        ("A x2 A x6 E x4 A x1 E x7 E x3 A x5", 637,
+         "35135030bdb1fe79d8716ab0154b2dac20bbae351bd7896e5233cec3d8345649"),
+    ],
+)
+def test_closure_matches_pinned_hash(text, count, digest):
+    # SHA-256 of the closure's texts in order, so that the classes and their
+    # order stay the same across commits.
+    p = parse_prefix(text)
+    out = closure(p)
+    texts = [c.text for c in out]
+    assert len(out) == count
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+    assert all(a < b for a, b in zip(texts, texts[1:]))
+    assert all(c.rep == canonicalize(c.rep).rep for c in out)
+    assert all(c.rep.names is p.names for c in out)
 
 
 def test_closure_is_monotone_under_reachability():
