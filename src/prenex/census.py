@@ -1,14 +1,16 @@
 """Census of equivalence classes at small n: enumeration, graph, pair counts.
 
 A class is determined by its quantifier string plus the set of variables in
-each run (order inside a run is immaterial).  A raw prefix is a quantifier
-word with a placement of the variables, and ``_run_table`` turns a placement
-into the label of the run that holds each variable: the class's label.  A
-run's label carries its quantifier as well as its index, so a label also
-names its word, and the classes of all words share one label space.  Over
-the n! placements of a word, the distinct labels are the word's classes,
-which ``enumerate_classes`` lists; ``build_graph`` maps each label to its
-class id in one dict, and reads from it one row of class ids per word.
+each run (order inside a run is immaterial).  ``enumerate_classes`` lists
+the classes by one depth-first walk over their canonical members, whose
+runs list their variables in ascending order; with names of one width the
+walk's order is text order.  A raw prefix is a quantifier word with a
+placement of the variables, and ``_run_table`` turns a placement into the
+label of the run that holds each variable: the class's label.  A run's
+label carries its quantifier as well as its index, so a label also names
+its word, and the classes of all words share one label space.
+``build_graph`` maps each label to its class id in one dict, and reads from
+it one row of class ids per word.
 Edges need every raw prefix, since different members of one class reach
 different classes; the flips and exists-forall swaps join whole rows, a
 swap through one table of placement ranks per pair of adjacent positions.
@@ -40,7 +42,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import InstanceTooLargeError
-from .prefix import CanonicalClass, _bits_of, _text_key, _trusted, default_names
+from .prefix import CanonicalClass, _bits_of, _trusted, default_names
 
 __all__ = [
     "CLASS_CAP",
@@ -118,29 +120,47 @@ def enumerate_classes(
 ) -> list[tuple[CanonicalClass, int]]:
     """All equivalence classes at n, sorted by canonical text.
 
-    The classes of the word ``bits`` are the distinct labels
-    ``q.translate(_run_table(bits))`` over the n! placements q.  Each class
-    takes the same share of the placements, its multiplicity (the product
-    of its run-length factorials), so the multiplicities sum to n! * 2^n.
+    One depth-first walk fills the positions left to right, trying A before
+    E at each, then each unused variable in ascending order; inside a run a
+    variable must be larger than the one before it, so the walk meets each
+    class once, as its canonical member.  Every name from ``default_names``
+    has the same width, so every token ("A x3") does too, and text order is
+    token order: by letter, then by variable index.  The walk meets the
+    classes in that order, with no sort.  A class's multiplicity, the
+    product of its run-length factorials, is multiplied by a run's new
+    length whenever the walk extends that run; the multiplicities sum to
+    n! * 2^n.
     """
     _check_cap(n, cap)
     names = default_names(n)
-    placements = list(map(bytes, permutations(range(n))))
+    words: dict[bytes, bytes] = {}  # one bytes object per quantifier word
     out = []
-    # words in text order, universal first, so the final sort's input is
-    # nearly sorted
-    for word in product((1, 0), repeat=n):
-        bits = bytes(word)
-        table = _run_table(bits)
-        classes = sorted({q.translate(table) for q in placements})
-        mult = factorial(n) // len(classes)
-        # where[v] is the label of the run that holds variable v; a stable
-        # sort on it lists each run's variables in ascending order.
-        for where in classes:
-            sigma = tuple(sorted(range(n), key=where.__getitem__))
-            out.append((CanonicalClass(_trusted(sigma, bits, names)), mult))
-    text = _text_key(names)
-    out.sort(key=lambda item: text(item[0].rep))
+    sigma = [0] * n
+    bits = bytearray(n)
+
+    def walk(i: int, free: tuple[int, ...], q: int, last: int, length: int, mult: int) -> None:
+        # positions 0..i-1 are filled; the run that ends at i - 1 has
+        # quantifier q, last variable ``last`` and length ``length``, and
+        # mult is the product of the run-length factorials so far
+        if i == n:
+            b = bytes(bits)
+            rep = _trusted(tuple(sigma), words.setdefault(b, b), names)
+            out.append((CanonicalClass(rep), mult))
+            return
+        for nq in (1, 0):  # A before E
+            bits[i] = nq
+            same = nq == q
+            for k, v in enumerate(free):
+                if same and v < last:
+                    continue
+                sigma[i] = v
+                rest = free[:k] + free[k + 1 :]
+                if same:
+                    walk(i + 1, rest, q, v, length + 1, mult * (length + 1))
+                else:
+                    walk(i + 1, rest, nq, v, 1, mult)
+
+    walk(0, tuple(range(n)), -1, -1, 0, 1)
     return out
 
 

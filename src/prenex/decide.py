@@ -25,11 +25,12 @@ every stage returns.  Each outcome then has one rule: every accept is the
 shared ``_ACCEPT``, and ``_reject`` builds every reject, for ``implies``,
 ``decide_with_stats`` and the text path below alike.
 
-From that size up, ``_decide`` runs the scan's first step with one
-``sigma1.index`` lookup and no table, so a first-step reject never loads
-numpy.  Any other pair goes to ``_kernel``, which returns ``_core``'s tuple
-from a few numpy passes over J, the s1 position of each s2 step (built by
-one scatter and one gather).  F before step i is the largest existential
+From that size up, ``_decide`` runs the scan's first step with no table:
+it looks for the step's variable in s1's universal tail past F, and only a
+reject then finds J, for its case, by one ``sigma1.index`` lookup.  So a
+first-step reject never loads numpy.  Any other pair goes to ``_kernel``,
+which returns ``_core``'s tuple from a few numpy passes over J, the s1
+position of each s2 step (built by one scatter and one gather).  F before step i is the largest existential
 position of s1 whose variable sits at an s2 index <= i, so F over all steps
 is a prefix maximum; step i rejects when s2 is universal there and F >= J,
 and the scan's first reject is the last such i.
@@ -97,7 +98,7 @@ class DecideStats:
     rescan_steps: int
 
 
-# Below this size `_core` decides; from it up, the first-step lookup, then
+# Below this size `_core` decides; from it up, the first-step probe, then
 # `_kernel`.  Per call the kernel already wins from about 128 variables, but
 # its first use imports numpy (over 100 ms), which a process deciding a few
 # pairs under 256 variables never repays.
@@ -197,13 +198,14 @@ def _decide(
     n = len(sigma1)
     if n < _SCATTER_THRESHOLD:
         return _core(sigma1, b1, sigma2, b2)
-    # The scan's first step, by one streaming lookup instead of the position
-    # table; F still has its start value there.
+    # The scan's first step, with no position table; F still has its start
+    # value there.  J > F iff the variable is in s1's universal tail past F,
+    # so only a reject looks J up, for its case.
     i = n - 1
     if b2[i]:
-        j = sigma1.index(sigma2[i])
         f = _f_start(b1)
-        if f >= j:
+        if sigma2[i] not in sigma1[f + 1 :]:
+            j = sigma1.index(sigma2[i])
             return 4 if b1[j] else 5, i, f
     import numpy as np
 

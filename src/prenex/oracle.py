@@ -15,9 +15,12 @@ the variables in run k.  Every member of a class gives the same key.
 - an exists-forall swap picks x from an existential run P and y from the
   universal run Q after it, so the two runs become P - x, y, x, Q - y, and
   ``word`` exchanges bits ``start + |P| - 1`` and ``start + |P|``.
-Each move's pieces alternate quantifiers, and ``_join`` drops an empty
-piece and merges its two neighbours, which share a quantifier, into one
-run.  A universal run of length L has L*2^(L-1) flips and an existential
+Each move's pieces alternate quantifiers, with the run before the moved
+ones first and the run after them last, and each result is built in one
+tuple.  Only two pieces can be empty, T (or P - x) and S - x - T (or
+Q - y); an empty one is left out and its two neighbours, which share a
+quantifier, merge into one run, and a missing neighbour run is left out
+too.  A universal run of length L has L*2^(L-1) flips and an existential
 run of length a before a universal run of length b has a*b swaps: the
 counts the census sums in closed form.
 
@@ -61,22 +64,6 @@ def _key(p: Prefix) -> tuple[int, ...]:
     return (_bits_of(b), *masks)
 
 
-def _join(pieces: tuple[int, ...]) -> tuple[int, ...]:
-    """Runs from pieces of alternating quantifiers: an empty piece is dropped,
-    and its two neighbours, which share a quantifier, merge into one run."""
-    out = []
-    merge = False
-    for m in pieces:
-        if not m:
-            merge = bool(out)
-        elif merge:
-            out[-1] |= m
-            merge = False
-        else:
-            out.append(m)
-    return tuple(out)
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The one-bit masks of ``mask``, lowest first."""
     while mask:
@@ -88,35 +75,59 @@ def _bits(mask: int) -> Iterator[int]:
 def _successors(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every class one flip or exists-forall swap away from ``key``'s, once each.
 
-    A missing neighbour run enters ``_join`` as an empty piece, which it drops.
+    Each move's result is built as one tuple.  ``head`` and ``behind`` are
+    the runs before and after the moved ones; ``prev`` is ``head``'s last
+    run and ``low`` the runs before it, ``after`` is ``behind``'s first run
+    and ``high`` the runs after it.  A missing ``prev`` or ``after`` is 0,
+    so a variable that merges into it stands alone.
     """
     word = key[0]
     last = len(key) - 1
     start = 0
     for i in range(1, last + 1):
         run = key[i]
-        prev = key[i - 1] if i > 1 else 0
-        head = key[1 : i - 1]
+        head = key[1:i]
+        low, prev = (head[:-1], head[-1]) if head else ((), 0)
         if word >> start & 1:
-            after = key[i + 1] if i < last else 0
-            tail = key[i + 2 :]
+            # pieces prev, t, x, r, after with r = rest - t: an empty t
+            # merges x into prev, an empty r merges x into after
+            behind = key[i + 1 :]
+            high, after = (behind[1:], behind[0]) if behind else ((), 0)
             for x in _bits(run):
                 rest = run ^ x
-                t = rest
-                while True:  # t walks every subset of rest, the part before x
+                if not rest:
+                    yield (word ^ 1 << start, *low, prev | x | after, *high)
+                    continue
+                # t walks every subset of rest, from rest itself (r empty)
+                # down to 0 (t empty)
+                yield (word ^ 1 << (start + rest.bit_count()), *head, rest, x | after, *high)
+                t = (rest - 1) & rest
+                while t:
                     flipped = word ^ 1 << (start + t.bit_count())
-                    yield (flipped, *head, *_join((prev, t, x, rest ^ t, after)), *tail)
-                    if not t:
-                        break
+                    yield (flipped, *head, t, x, rest ^ t, *behind)
                     t = (t - 1) & rest
+                yield (word ^ 1 << start, *low, prev | x, rest, *behind)
         elif i < last:
+            # pieces prev, P - x, y, x, Q - y, after for the runs P, Q: an
+            # empty P - x merges y into prev, an empty Q - y merges x into
+            # after
             nxt = key[i + 1]
-            after = key[i + 2] if i + 1 < last else 0
-            tail = key[i + 3 :]
+            behind = key[i + 2 :]
+            high, after = (behind[1:], behind[0]) if behind else ((), 0)
             swapped = word ^ 3 << (start + run.bit_count() - 1)
             for x in _bits(run):
+                px = run ^ x
                 for y in _bits(nxt):
-                    yield (swapped, *head, *_join((prev, run ^ x, y, x, nxt ^ y, after)), *tail)
+                    qy = nxt ^ y
+                    if px:
+                        if qy:
+                            yield (swapped, *head, px, y, x, qy, *behind)
+                        else:
+                            yield (swapped, *head, px, y, x | after, *high)
+                    elif qy:
+                        yield (swapped, *low, prev | y, x, qy, *behind)
+                    else:
+                        yield (swapped, *low, prev | y, x | after, *high)
         start += run.bit_count()
 
 

@@ -161,7 +161,14 @@ class Run:
 class CanonicalClass:
     """Equivalence-class representative: ascending variable order in each run."""
 
+    # Slots keep a class to its one field, with no per-instance dict.
+    __slots__ = ("rep", "__weakref__")
     rep: Prefix
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: the frozen __setattr__ refuses
+        # pickle's default slot-by-slot restore.
+        return CanonicalClass, (self.rep,)
 
     @property
     def text(self) -> str:

@@ -197,6 +197,18 @@ def test_graph_reachability_matches_decider():
             assert {c.text for c in closure(src.rep)} == reached
 
 
+def test_closure_lists_what_the_graph_reaches_at_n5():
+    # The oracle's class successors and the census's listing and edges are
+    # built independently: every class's closure must list, in text order,
+    # the vertices that the graph reaches from it.
+    g = build_graph(5)
+    assert len(g.vertices) == 1082
+    texts = [c.text for c in g.vertices]
+    for cls, bits in zip(g.vertices, reachability_bitsets(g)):
+        reached = [t for v, t in enumerate(texts) if bits >> v & 1]
+        assert [c.text for c in closure(cls.rep)] == reached, cls.text
+
+
 def test_graph_edges_are_exactly_the_moves_that_leave_a_class():
     # The graph does not use the oracle's packed moves, so the readable
     # moves, applied to every raw prefix, check it edge for edge.

@@ -480,6 +480,49 @@ def test_dispatch_matches_core_at_the_threshold(n):
                 assert assert_verdict_matches_core(s1, s2)[:2] == (case_id, n - 1)
 
 
+def last_step_on(rng, s1, j):
+    """A random s2 whose last step is universal and holds s1's variable at
+    position j."""
+    s2 = random_prefix(s1.n, rng, s1.names)
+    sigma, bits = list(s2.sigma), [int(q) for q in s2.b]
+    k = sigma.index(s1.sigma[j])
+    sigma[k], sigma[-1] = sigma[-1], sigma[k]
+    bits[-1] = 1
+    return make_prefix(sigma, bits, s1.names)
+
+
+@pytest.mark.parametrize("n", [_SCATTER_THRESHOLD, 600])
+def test_first_step_probe_matches_core(n):
+    # The dispatch settles a universal last step by looking for its variable
+    # in s1's universal tail past F: every place that variable can sit in s1
+    # must give _core's full (case, i, f).
+    rng = random.Random(110 + n)
+    for _ in range(8):
+        s1 = random_prefix(n, rng)
+        f = n - 6
+        bits = [int(q) for q in s1.b]
+        bits[f:] = [0, 1, 1, 1, 1, 1]  # F at n - 6, a universal tail past it
+        s1 = make_prefix(s1.sigma, bits, s1.names)
+        below = {q: next(j for j in range(f - 1, -1, -1) if bits[j] == q) for q in (0, 1)}
+        places = [(j, None) for j in range(f + 1, n)]  # past F: the first step passes
+        places += [(f, 5), (below[1], 4), (below[0], 5)]
+        for j, first in places:
+            case_id, i, _ = assert_stages_match_core(*raw(s1, last_step_on(rng, s1, j)))
+            if first is None:
+                assert i != n - 1
+            else:
+                assert (case_id, i) == (first, n - 1)
+        # all-universal s1 (F = -1) passes the first step; all-existential
+        # s1 (F = n - 1) rejects there in case 5
+        for q, expected in ((1, None), (0, (5, n - 1, n - 1))):
+            top = make_prefix(s1.sigma, [q] * n, s1.names)
+            result = assert_stages_match_core(*raw(top, last_step_on(rng, top, rng.randrange(n))))
+            if expected is None:
+                assert result[1] != n - 1
+            else:
+                assert result == expected
+
+
 # --- the CLI's text path against parse_prefix_pair + implies -------------------
 
 

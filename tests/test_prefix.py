@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prenex import (
+    CanonicalClass,
     DuplicateVariableError,
     EmptyPrefixError,
     LengthMismatchError,
@@ -164,6 +165,29 @@ def test_prefix_value_semantics():
     # the one stored quantifier field, under one name everywhere
     assert Prefix.__slots__ == ("sigma", "b", "names", "__weakref__")
     assert Prefix.__match_args__ == ("sigma", "b", "names")
+
+
+def test_canonical_class_value_semantics():
+    classes = [
+        canonicalize(parse_prefix("A x2 A x1 E x3")),
+        *(cls for cls, _ in enumerate_classes(2)),
+        *closure(parse_prefix("E x1 A x2")),
+    ]
+    for cls in classes:
+        copies = [pickle.loads(pickle.dumps(cls, proto)) for proto in range(6)]
+        for again in (*copies, copy.copy(cls), copy.deepcopy(cls)):
+            assert type(again) is CanonicalClass
+            assert again == cls and hash(again) == hash(cls)
+            assert not hasattr(again, "__dict__")
+        assert not hasattr(cls, "__dict__") and weakref.ref(cls)() is cls
+        with pytest.raises(FrozenInstanceError):
+            cls.rep = cls.rep
+    # the dataclass repr, character for character
+    assert repr(classes[0]) == (
+        "CanonicalClass(rep=Prefix(sigma=(0, 1, 2), b=b'\\x01\\x01\\x00', "
+        "names=('x1', 'x2', 'x3')))"
+    )
+    assert CanonicalClass.__slots__ == ("rep", "__weakref__")
 
 
 def test_every_built_prefix_holds_quantifier_bytes():
