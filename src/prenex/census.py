@@ -33,16 +33,16 @@ everything here is capped to desk-scale n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, permutations, product
+from json.encoder import encode_basestring_ascii
 from math import factorial, prod
 from operator import itemgetter
 from typing import Iterable
 
 from .errors import InstanceTooLargeError
-from .prefix import CanonicalClass, _bits_of, _trusted, default_names
+from .prefix import CanonicalClass, _bits_of, _text_key, _trusted, default_names
 
 __all__ = [
     "CLASS_CAP",
@@ -318,24 +318,68 @@ def count_pairs_via_graph(n: int, cap: int = PAIR_CAP) -> CensusReport:
 
 
 def export_graph(g: ImplicationGraph, fmt: str = "json") -> bytes:
-    """Serialize the graph to byte-stable JSON or DOT."""
+    """Serialize the graph to byte-stable JSON or DOT.
+
+    The JSON is ``json.dumps(doc, separators=(",", ":"))`` of the document
+    ``{"n", "vertices": [{"id", "prefix", "multiplicity"}], "edges"}`` plus
+    a newline, with the edges as ``[u, v]`` pairs in ``sorted_edges`` order;
+    the DOT has one line per vertex, then one per edge in that order.
+    Neither builds a pair per edge: each source's sorted targets become its
+    edges' text in one join.  The text is joined once from its pieces and
+    encoded once, so at most two copies of it are alive at a time.
+
+    ``n`` and every multiplicity must be an ``int`` (a bool or a float
+    raises ``TypeError``, where ``json.dumps`` would write ``true`` or
+    ``1.0``).  An edge's ends index the vertex list, as in ``sorted_edges``,
+    and are written as the index of the vertex they select, so an end that
+    is not a list index raises ``TypeError``.
+    """
+    if fmt not in ("json", "dot"):
+        raise ValueError(f"unknown export format {fmt!r} (expected 'json' or 'dot')")
+    # row u holds source u's targets, ascending: its part of sorted_edges
+    rows: list[list[int]] = [[] for _ in g.vertices]
+    for u, v in g.edges:
+        rows[u].append(v)
+    for row in rows:
+        row.sort()
+    # each vertex id's text; like rows[u], the lookup takes an end only as
+    # a list index
+    num = list(map(str, range(len(rows)))).__getitem__
+    # each vertex's text, from one token table for the names that a built
+    # graph's vertices all share
+    names = g.vertices[0].rep.names if g.vertices else ()
+    text_of = _text_key(names)
+    texts = (text_of(c.rep) if c.rep.names is names else c.text for c in g.vertices)
     if fmt == "json":
-        doc = {
-            "n": g.n,
-            "vertices": [
-                {"id": i, "prefix": cls.text, "multiplicity": g.multiplicity[i]}
-                for i, cls in enumerate(g.vertices)
-            ],
-            "edges": g.sorted_edges(),
-        }
-        return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
-    if fmt == "dot":
-        lines = ["digraph implication_classes {"]
-        for i, cls in enumerate(g.vertices):
-            label = cls.text.replace('"', '\\"')
-            lines.append(f'  {i} [label="{label}"];')
-        for u, v in g.sorted_edges():
-            lines.append(f"  {u} -> {v};")
-        lines.append("}")
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unknown export format {fmt!r} (expected 'json' or 'dot')")
+        if type(g.n) is not int or not {int}.issuperset(map(type, g.multiplicity)):
+            raise TypeError("a graph's n and multiplicities must be ints")
+        escape = encode_basestring_ascii  # json.dumps' own string escaper
+        # each array item ends in a comma, and the last one's is dropped
+        pieces = [f'{{"n":{g.n},"vertices":[']
+        pieces += [
+            f'{{"id":{i},"prefix":{escape(prefix)},"multiplicity":{m}}},'
+            for i, (prefix, m) in enumerate(zip(texts, g.multiplicity, strict=True))
+        ]
+        pieces[-1] = pieces[-1].removesuffix(",")
+        pieces.append('],"edges":[')
+        pieces += [
+            f"[{u}," + f"],[{u},".join(map(num, row)) + "],"
+            for u, row in enumerate(rows)
+            if row
+        ]
+        pieces[-1] = pieces[-1].removesuffix(",")
+        pieces.append("]}\n")
+    else:
+        labels = (prefix.replace('"', '\\"') for prefix in texts)
+        pieces = ["digraph implication_classes {\n"]
+        pieces += [f'  {i} [label="{label}"];\n' for i, label in enumerate(labels)]
+        pieces += [
+            f"  {u} -> " + f";\n  {u} -> ".join(map(num, row)) + ";\n"
+            for u, row in enumerate(rows)
+            if row
+        ]
+        pieces.append("}\n")
+    del rows
+    text = "".join(pieces)
+    del pieces
+    return text.encode()

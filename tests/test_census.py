@@ -257,8 +257,8 @@ def test_counting_methods_agree():
 def test_implied_count_matches_oracle_reach():
     # The BFS never reads the decision rule: its visited classes, each
     # weighted by its member count, are every raw s2 that the identity-order
-    # prefix implies.
-    for n in range(1, 7):
+    # prefix implies.  At n = 7 that is 462,059 classes over the 128 words.
+    for n in range(1, 8):
         identity, names = tuple(range(n)), default_names(n)
         for word in product((0, 1), repeat=n):
             _, visited = _explore(_key(Prefix(identity, bytes(word), names)))
@@ -379,3 +379,100 @@ def test_export_bytes_match_pinned_hashes():
 def test_export_rejects_unknown_format():
     with pytest.raises(ValueError):
         export_graph(build_graph(1), "yaml")
+
+
+def test_export_checks_the_format_before_reading_the_graph():
+    unreadable = ImplicationGraph(1, (), None, ())  # edges cannot be iterated
+    with pytest.raises(ValueError):
+        export_graph(unreadable, "yaml")
+    with pytest.raises(TypeError):
+        export_graph(unreadable, "json")
+
+
+def test_export_json_edges_follow_sorted_edges():
+    for n in range(1, 7):
+        g = build_graph(n)
+        doc = json.loads(export_graph(g, "json"))
+        assert doc["edges"] == [list(e) for e in g.sorted_edges()], n
+
+
+def _class(sigma, word, names):
+    return canonicalize(Prefix(sigma, word, names))
+
+
+def _dumps_export(g):
+    # the document that json.dumps wrote, field by field, and its text
+    doc = {
+        "n": g.n,
+        "vertices": [
+            {"id": i, "prefix": cls.text, "multiplicity": g.multiplicity[i]}
+            for i, cls in enumerate(g.vertices)
+        ],
+        "edges": g.sorted_edges(),
+    }
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+
+
+def _line_export(g):
+    # the DOT text written one line per vertex and per edge
+    lines = ["digraph implication_classes {"]
+    for i, cls in enumerate(g.vertices):
+        label = cls.text.replace('"', '\\"')
+        lines.append(f'  {i} [label="{label}"];')
+    for u, v in g.sorted_edges():
+        lines.append(f"  {u} -> {v};")
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_export_matches_dumps_and_lines_on_hand_built_graphs():
+    # names that JSON must escape (a quote, a backslash, a non-ASCII letter,
+    # a control character) and DOT must quote; vertices with no out-edges,
+    # edges added out of order, vertices over different names, and graphs
+    # with no edges or no vertices
+    names = ('q"1', "b\\2", "é3", "c\x014")
+    vertices = (
+        _class((0, 1, 2, 3), (1, 1, 0, 0), names),
+        _class((3, 2, 1, 0), (1, 0, 1, 0), names),
+        _class((1, 0, 3, 2), (0, 0, 0, 0), names),
+        _class((2, 0, 1, 3), (0, 1, 0, 1), names),
+    )
+    graphs = [
+        ImplicationGraph(4, vertices, frozenset({(3, 2), (0, 2), (0, 1), (3, 0)}), (4, 2, 24, 1)),
+        ImplicationGraph(4, vertices, frozenset(), (4, 2, 24, 1)),
+        ImplicationGraph(4, vertices[2:], frozenset({(1, 0)}), (24, 1)),
+        ImplicationGraph(0, (), frozenset(), ()),
+        ImplicationGraph(
+            4, (vertices[0], _class((0, 1, 2, 3), (1, 0, 0, 1), ("y1", "y2", "y3", "y4"))),
+            frozenset({(0, 1)}), (4, 2),
+        ),
+    ]
+    for g in graphs:
+        assert export_graph(g, "json") == _dumps_export(g)
+        assert export_graph(g, "dot") == _line_export(g)
+    assert b"\\u00e9" in export_graph(graphs[0], "json")  # ASCII only, as json.dumps
+    assert export_graph(graphs[3], "json") == b'{"n":0,"vertices":[],"edges":[]}\n'
+    assert export_graph(graphs[3], "dot") == b"digraph implication_classes {\n}\n"
+
+
+def test_export_refuses_a_number_it_cannot_write_as_an_int():
+    # json.dumps wrote true or 1.0 here; an f-string would write True, which
+    # is not JSON.  The export refuses them rather than write either.
+    g = build_graph(2)
+    odd = (True, 1.0, 2.5)
+    for value in odd:
+        mult = (value,) + g.multiplicity[1:]
+        with pytest.raises(TypeError):
+            export_graph(ImplicationGraph(2, g.vertices, g.edges, mult), "json")
+        with pytest.raises(TypeError):
+            export_graph(ImplicationGraph(value, g.vertices, g.edges, g.multiplicity), "json")
+    # DOT writes no multiplicity, so only the edges' ends must be ints
+    mult = (True,) + g.multiplicity[1:]
+    assert export_graph(ImplicationGraph(2, g.vertices, g.edges, mult), "dot") == (
+        export_graph(g, "dot")
+    )
+    assert (5, 0) not in g.edges  # so neither edge below equals an edge of g
+    for fmt in ("json", "dot"):
+        for edge in ((5, 0.0), (5.0, 0)):
+            with pytest.raises(TypeError):
+                export_graph(ImplicationGraph(2, g.vertices, g.edges | {edge}, g.multiplicity), fmt)
