@@ -24,14 +24,18 @@ too.  A universal run of length L has L*2^(L-1) flips and an existential
 run of length a before a universal run of length b has a*b swaps: the
 counts the census sums in closed form.
 
-``oracle_implies`` prunes by the word.  A flip clears one bit of it; an
-exists-forall swap turns bits (i, i+1) from (0, 1) into (1, 0), lowering it
-by 2^i.  So no move out of a class raises the word or its popcount, and
-every such move lowers the word.  A class can reach the target's class
-only if its word is above the target's with no fewer universals; a class
-that fails this has no descendant that passes it, so leaving it unexpanded
-loses no path to the target.  Every visited class is still compared with
-the target, and ``closure`` and a bare ``_explore`` keep the full search.
+``oracle_implies`` prunes by the word and by the target's universal
+variables.  A flip clears one bit of the word and turns one universal
+variable existential; an exists-forall swap turns bits (i, i+1) from (0, 1)
+into (1, 0), lowering the word by 2^i, and keeps each variable's
+quantifier.  So no move turns an existential variable universal, and every
+move out of a class lowers the word.  The search toward a target never
+flips a variable that the target keeps universal, since no class after such
+a flip is the target's, so every class it visits keeps the target's
+universals; and it expands only classes whose word is above the target's,
+since no class of a word at or below it has a descendant that is the
+target.  Every visited class is still compared with the target, and
+``closure`` and a bare ``_explore`` keep the full search.
 The census orders its class graph by the same word.
 """
 
@@ -56,12 +60,24 @@ def _key(p: Prefix) -> tuple[int, ...]:
     """``p``'s class as ``(word, m0, m1, ...)``, ``m_k`` the variables of run k."""
     b = p.b
     masks = []
-    for i, v in enumerate(p.sigma):
-        if i and b[i] == b[i - 1]:
-            masks[-1] |= 1 << v
-        else:
-            masks.append(1 << v)
+    q = b[0]
+    run = 0
+    for bit, v in zip(b, p.sigma):
+        if bit != q:
+            # the quantifier changes: run k is closed and run k + 1 opens
+            masks.append(run)
+            run = 0
+            q = bit
+        run |= 1 << v
+    masks.append(run)
     return (_bits_of(b), *masks)
+
+
+def _universals(key: tuple[int, ...]) -> int:
+    """The bitmask of the universal variables of ``key``'s class: the sum of
+    its universal runs' masks, which are disjoint.  Runs alternate
+    quantifiers, so they are every other run from the first universal one."""
+    return sum(key[2 - (key[0] & 1) :: 2])
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -72,8 +88,9 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _successors(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every class one flip or exists-forall swap away from ``key``'s, once each.
+def _successors(key: tuple[int, ...], keep: int = 0) -> Iterator[tuple[int, ...]]:
+    """Every class one flip or exists-forall swap away from ``key``'s, once
+    each, save the flips of a variable in the bitmask ``keep``.
 
     Each move's result is built as one tuple.  ``head`` and ``behind`` are
     the runs before and after the moved ones; ``prev`` is ``head``'s last
@@ -88,12 +105,13 @@ def _successors(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         run = key[i]
         head = key[1:i]
         low, prev = (head[:-1], head[-1]) if head else ((), 0)
-        if word >> start & 1:
+        universal = word >> start & 1
+        if universal and (flips := run & ~keep):
             # pieces prev, t, x, r, after with r = rest - t: an empty t
             # merges x into prev, an empty r merges x into after
             behind = key[i + 1 :]
             high, after = (behind[1:], behind[0]) if behind else ((), 0)
-            for x in _bits(run):
+            for x in _bits(flips):
                 rest = run ^ x
                 if not rest:
                     yield (word ^ 1 << start, *low, prev | x | after, *high)
@@ -107,7 +125,7 @@ def _successors(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                     yield (flipped, *head, t, x, rest ^ t, *behind)
                     t = (t - 1) & rest
                 yield (word ^ 1 << start, *low, prev | x, rest, *behind)
-        elif i < last:
+        elif not universal and i < last:
             # pieces prev, P - x, y, x, Q - y, after for the runs P, Q: an
             # empty P - x merges y into prev, an empty Q - y merges x into
             # after
@@ -131,13 +149,6 @@ def _successors(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         start += run.bit_count()
 
 
-def _can_reach(word: int, floor: int) -> bool:
-    """Whether a class of quantifier word ``word`` can reach another class
-    of word ``floor``: no move out of a class raises a word or its popcount,
-    and every such move lowers the word."""
-    return word > floor and word.bit_count() >= floor.bit_count()
-
-
 def _explore(
     root: tuple[int, ...], target: tuple[int, ...] | None = None
 ) -> tuple[bool, set[tuple[int, ...]]]:
@@ -145,21 +156,24 @@ def _explore(
 
     Without a target, ``visited`` is every class reachable from the root,
     the root's own among them.  With one, the search stops when it meets
-    the target, and expands only classes that can still reach a class of
-    the target's word (``_can_reach``); every visited class is still
-    compared with the target.  The root itself is never compared: callers
-    pass a target only when it is not the root.
+    the target, never flips a variable that is universal in the target, and
+    expands only classes whose word is above the target's; every visited
+    class is still compared with the target.  The root itself is never
+    compared: callers pass a target only when it is not the root.
     """
-    floor = None if target is None else target[0]
+    if target is None:
+        floor, keep = -1, 0
+    else:
+        floor, keep = target[0], _universals(target)
     visited = {root}
     queue = deque((root,))
     while queue:
-        for nxt in _successors(queue.popleft()):
+        for nxt in _successors(queue.popleft(), keep):
             if nxt not in visited:
                 visited.add(nxt)
                 if nxt == target:
                     return True, visited
-                if floor is None or _can_reach(nxt[0], floor):
+                if nxt[0] > floor:
                     queue.append(nxt)
     return False, visited
 
@@ -180,7 +194,7 @@ def oracle_implies(s1: Prefix, s2: Prefix, max_n: int = ORACLE_CAP) -> bool:
     root, target = _key(s1), _key(s2)
     if root == target:
         return True
-    if not _can_reach(root[0], target[0]):
+    if root[0] <= target[0] or _universals(target) & ~_universals(root):
         return False
     found, _ = _explore(root, target)
     return found

@@ -143,9 +143,20 @@ class Prefix:
         return format_prefix(self)
 
 
+# The slots' own setters, bound once: they fill a Prefix past the frozen
+# ``__setattr__`` with one call each.
+_SET_SIGMA = Prefix.sigma.__set__
+_SET_B = Prefix.b.__set__
+_SET_NAMES = Prefix.names.__set__
+
+# Stored quantifier bytes to the digits "0" and "1".
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _bits_of(bits: bytes) -> int:
-    """Quantifier bytes as an int, bit i set when position i is universal."""
-    return sum(q << i for i, q in enumerate(bits))
+    """Quantifier bytes as an int, bit i set when position i is universal:
+    the bytes as binary digits, position 0 last.  Empty bytes give 0."""
+    return int(bits.translate(_BINARY)[::-1] or b"0", 2)
 
 
 @dataclass(frozen=True)
@@ -322,9 +333,9 @@ def _trusted(sigma: tuple[int, ...], b: bytes, names: tuple[str, ...]) -> Prefix
     proved valid: n >= 1, distinct valid names, ``b`` of 0/1 bytes, and
     ``sigma`` a permutation of ``0..n-1``."""
     p = object.__new__(Prefix)
-    object.__setattr__(p, "sigma", sigma)
-    object.__setattr__(p, "b", b)
-    object.__setattr__(p, "names", names)
+    _SET_SIGMA(p, sigma)
+    _SET_B(p, b)
+    _SET_NAMES(p, names)
     return p
 
 

@@ -110,6 +110,20 @@ def successors(p: Prefix) -> set[Prefix]:
     return {apply_move(p, move) for move in applicable_moves(p)}
 
 
+def reference_key(p: Prefix) -> tuple[int, ...]:
+    """The oracle's class key of ``p`` by the readable loop: ``(word, m0, m1,
+    ...)``, ``word`` with bit i set when position i is universal and ``m_k``
+    the bitmask of the variables in run k."""
+    b = p.b
+    masks = []
+    for i, v in enumerate(p.sigma):
+        if i and b[i] == b[i - 1]:
+            masks[-1] |= 1 << v
+        else:
+            masks.append(1 << v)
+    return (sum(q << i for i, q in enumerate(b)), *masks)
+
+
 def fubini(n: int) -> int:
     """Ordered-Bell number by the binomial recurrence (independent oracle)."""
     values = [1]

@@ -13,6 +13,7 @@ from prenex import (
     canonicalize,
     closure,
     count_pairs,
+    default_names,
     enumerate_classes,
     equivalent,
     implies,
@@ -21,7 +22,7 @@ from prenex import (
     parse_prefix_pair,
     random_prefix,
 )
-from prenex.oracle import _explore, _key, _successors
+from prenex.oracle import _explore, _key, _successors, _universals
 from prenex.prefix import _bits_of
 from support import (
     Move,
@@ -29,6 +30,7 @@ from support import (
     all_raw_prefixes,
     applicable_moves,
     apply_move,
+    reference_key,
     successors,
 )
 
@@ -159,6 +161,36 @@ def test_moves_never_raise_the_quantifier_word():
                 assert (after < word) == (_key(q) != _key(p)), (str(p), str(q))
 
 
+def _universal_mask(p):
+    """The bitmask of ``p``'s universal variables."""
+    return sum(1 << v for q, v in zip(p.b, p.sigma) if q)
+
+
+def test_moves_never_make_a_variable_universal():
+    # the oracle's target prune rests on this: a move's result has no
+    # universal variable that its source lacks, so a search toward a target
+    # may skip every flip of a variable the target keeps universal; and the
+    # universal mask read off a class key is its members' universal variables
+    for n in (1, 2, 3, 4, 5):
+        for p in all_raw_prefixes(n):
+            universal = _universal_mask(p)
+            assert _universals(_key(p)) == universal, str(p)
+            for move in applicable_moves(p):
+                after = _universal_mask(apply_move(p, move))
+                assert after & ~universal == 0, (str(p), move)
+
+
+def test_class_key_matches_the_readable_loop():
+    for n in (1, 2, 3, 4):
+        for p in all_raw_prefixes(n):
+            assert _key(p) == reference_key(p), str(p)
+    rng = random.Random(12)
+    for n in range(1, 41):
+        for _ in range(25):
+            p = random_prefix(n, rng)
+            assert _key(p) == reference_key(p), str(p)
+
+
 # --- reachability --------------------------------------------------------------
 
 
@@ -194,6 +226,47 @@ def test_pruned_oracle_matches_full_reachability_on_every_raw_pair():
             _, visited = _explore(_key(s1))
             for s2 in states:
                 assert oracle_implies(s1, s2) == (_key(s2) in visited), (str(s1), str(s2))
+
+
+def _member(key, names, rng):
+    """A raw member of ``key``'s class, each run's variables shuffled."""
+    n = len(names)
+    sigma = []
+    for mask in key[1:]:
+        run = [v for v in range(n) if mask >> v & 1]
+        rng.shuffle(run)
+        sigma += run
+    return Prefix(sigma, bytes(key[0] >> i & 1 for i in range(n)), names)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_pruned_oracle_matches_full_reachability_on_seeded_pairs(n):
+    # past n = 4, with no use of the decider: random targets, which the
+    # root mostly cannot reach, and members of classes it reaches, against
+    # the root's full visited set.  Some random targets pass the word check
+    # (a lower word, no more universals) and fail only the universal-mask
+    # check, which the search's skipped flips rest on too.
+    rng = random.Random(40 + n)
+    names = default_names(n)
+    reached = mask_only = 0
+    for _ in range(4):
+        s1 = random_prefix(n, rng)
+        root = _key(s1)
+        _, visited = _explore(root)
+        targets = [random_prefix(n, rng) for _ in range(40)]
+        reach = rng.sample(sorted(visited), min(10, len(visited)))
+        targets += [_member(key, names, rng) for key in reach]
+        for s2 in targets:
+            target = _key(s2)
+            expected = target in visited
+            assert oracle_implies(s1, s2) == expected, (str(s1), str(s2))
+            reached += expected
+            mask_only += (
+                root[0] > target[0]
+                and root[0].bit_count() >= target[0].bit_count()
+                and _universals(target) & ~_universals(root) != 0
+            )
+    assert reached >= 10 and mask_only >= 10, (reached, mask_only)
 
 
 def test_oracle_cap_enforced():

@@ -4,6 +4,7 @@ import random
 import re
 import weakref
 from dataclasses import FrozenInstanceError
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +32,7 @@ from prenex import (
     random_prefix,
     runs,
 )
+from prenex.prefix import _bits_of
 from support import make_prefix, prefix_text_pairs, prefix_texts
 
 A, E = Quantifier.FORALL, Quantifier.EXISTS
@@ -213,6 +215,14 @@ def test_every_built_prefix_holds_quantifier_bytes():
     for p in built:
         assert type(p.b) is bytes and not p.b.translate(None, b"\x00\x01"), p
         assert len(p.b) == p.n and not hasattr(p, "__dict__"), p
+
+
+def test_quantifier_word_reads_every_word():
+    # bit i of the word is the quantifier at position i
+    for n in range(1, 11):
+        for bits in product((0, 1), repeat=n):
+            assert _bits_of(bytes(bits)) == sum(q << i for i, q in enumerate(bits))
+    assert _bits_of(b"") == 0
 
 
 # --- parse parity with the per-pair reference parser ------------------------
